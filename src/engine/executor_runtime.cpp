@@ -608,7 +608,7 @@ void ExecutorRuntime::set_pool_size(int threads) {
 adaptive::IoSample ExecutorRuntime::sample() {
   const metrics::IoCounters& c = io_.snapshot();
   const double now = env_.sim->now();
-  const double window = 5.0;
+  const double window = metrics::kMonitorWindowSeconds;
   const double util =
       env_.cluster->node(node_id_).disk().busy_tracker().utilization(
           std::max(0.0, now - window), std::max(now, 1e-9));

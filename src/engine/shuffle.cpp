@@ -103,6 +103,7 @@ std::vector<Bytes> ShuffleManager::fetch_plan(int shuffle_id, int partition,
   const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
   for (int n = 0; n < num_nodes_; ++n) {
     const Bytes total = s.per_node[static_cast<size_t>(n)];
+    if (total == 0) continue;  // cum_share of a zero total is 0
     plan[static_cast<size_t>(n)] =
         cum_share(s, total, partition + 1, num_partitions) -
         cum_share(s, total, partition, num_partitions);
@@ -123,6 +124,7 @@ std::vector<Bytes> ShuffleManager::fetch_plan_slice(int shuffle_id, int first,
   const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
   for (int n = 0; n < num_nodes_; ++n) {
     const Bytes total = s.per_node[static_cast<size_t>(n)];
+    if (total == 0) continue;  // cum_share of a zero total is 0
     const Bytes share = cum_share(s, total, last + 1, num_partitions) -
                         cum_share(s, total, first, num_partitions);
     if (num_splits == 1) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <map>
 
 #include "common/log.h"
@@ -502,14 +503,31 @@ const std::vector<int>& TaskScheduler::pref_union(TaskSet& set) {
   if (set.pref_epoch != offer_epoch_) {
     set.pref_epoch = offer_epoch_;
     set.pref_nodes.clear();
+    // Node-indexed mark pass: mark each preferred node once, then emit the
+    // marked span in node order (clearing the marks) — the sorted, deduped
+    // union without sorting every pending task's preference list.
+    int lo = std::numeric_limits<int>::max();
+    int hi = -1;
     for (const int32_t idx : set.pending) {
       const auto& pref = set.tasks[static_cast<size_t>(idx)].preferred_nodes;
-      set.pref_nodes.insert(set.pref_nodes.end(), pref.begin(), pref.end());
+      for (const int node : pref) {
+        assert(node >= 0);
+        const size_t n = static_cast<size_t>(node);
+        if (n >= pref_mark_.size()) pref_mark_.resize(n + 1, 0);
+        if (pref_mark_[n] == 0) {
+          pref_mark_[n] = 1;
+          lo = std::min(lo, node);
+          hi = std::max(hi, node);
+        }
+      }
     }
-    std::sort(set.pref_nodes.begin(), set.pref_nodes.end());
-    set.pref_nodes.erase(
-        std::unique(set.pref_nodes.begin(), set.pref_nodes.end()),
-        set.pref_nodes.end());
+    for (int node = lo; node <= hi; ++node) {
+      uint8_t& mark = pref_mark_[static_cast<size_t>(node)];
+      if (mark != 0) {
+        mark = 0;
+        set.pref_nodes.push_back(node);
+      }
+    }
   }
   return set.pref_nodes;
 }

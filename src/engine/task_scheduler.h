@@ -361,6 +361,7 @@ class TaskScheduler {
   int64_t pending_total_ = 0;
   uint64_t offer_epoch_ = 0;           // stamps per-set pref_nodes caches
   std::vector<size_t> cand_scratch_;   // reused by build_candidates()
+  std::vector<uint8_t> pref_mark_;     // pref_union scratch, all 0 at rest
   Options options_;
   SchedulingMode mode_ = SchedulingMode::kFifo;
   std::vector<PoolSpec> pool_specs_{PoolSpec{}};

@@ -25,6 +25,8 @@ class CpuSet {
   int busy_cores() const noexcept { return busy_; }
   int queued() const noexcept { return static_cast<int>(queue_.size()); }
 
+  /// Busy-core tracker with no look-back: its readers (stage roll-ups and
+  /// total_busy_seconds) only ever query the current instant.
   const metrics::UtilizationTracker& busy_tracker() const noexcept { return busy_tracker_; }
   metrics::UtilizationTracker& busy_tracker() noexcept { return busy_tracker_; }
 

@@ -48,7 +48,7 @@ Disk::Disk(sim::Simulation& sim, DiskParams params, std::string name,
 
 void Disk::set_speed_factor(double factor) {
   assert(factor > 0.0);
-  advance_and_reschedule();  // settle in-flight work at the old rate
+  advance_and_reschedule(/*rearm=*/false);  // settle at the old rate
   speed_factor_ = factor;
   cap_cache_.clear();  // memoized capacities embed the old factor
   advance_and_reschedule();  // recompute the next completion at the new rate
@@ -116,7 +116,9 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
   // processor-sharing pool (controller/syscall time; device is free).
   sim_.schedule_after(params_.latency, [this, work, bytes, is_write,
                                         done = std::move(done)]() mutable {
-    advance_and_reschedule();  // settle other transfers up to 'now' first
+    // Settle other transfers up to 'now' first. The wake-up is armed once,
+    // below, from the post-join state.
+    advance_and_reschedule(/*rearm=*/false);
     transfers_.push_back(Transfer{work, is_write, std::move(done)});
     if (is_write) {
       ++write_streams_;
@@ -130,7 +132,7 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
   });
 }
 
-void Disk::advance_and_reschedule() {
+void Disk::advance_and_reschedule(bool rearm) {
   SAEX_PROF_SCOPE(kDisk);
   const double now = sim_.now();
   const double dt = now - last_advance_;
@@ -173,7 +175,7 @@ void Disk::advance_and_reschedule() {
 
   if (transfers_.empty()) {
     busy_.set_active(now, 0.0);
-  } else {
+  } else if (rearm) {
     const double next_rate = current_rate_per_transfer();
     // Floor the wake-up so time strictly advances even for sub-byte tails.
     const double dt = std::max(min_work / next_rate, 1e-9);

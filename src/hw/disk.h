@@ -91,6 +91,8 @@ class Disk {
   Bytes total_bytes_written() const noexcept { return bytes_written_; }
 
   /// Busy tracker: 1 while any transfer is active (iostat %util semantics).
+  /// History reaches back metrics::kMonitorWindowSeconds, the Monitor's
+  /// %util window; stage roll-ups snapshot their start instead.
   const metrics::UtilizationTracker& busy_tracker() const noexcept { return busy_; }
   metrics::UtilizationTracker& busy_tracker() noexcept { return busy_; }
 
@@ -104,7 +106,11 @@ class Disk {
     sim::Callback done;
   };
 
-  void advance_and_reschedule();
+  // Settles every transfer up to now, completes the finished ones and, when
+  // `rearm`, arms the single wake-up for the next completion. Callers about
+  // to change the transfer set pass rearm=false and re-arm afterwards, so a
+  // device change schedules one wake-up, not one that is cancelled at once.
+  void advance_and_reschedule(bool rearm = true);
   double current_rate_per_transfer() const noexcept;
   double effective_streams() const noexcept;
   double capacity_uncached(double kd) const noexcept;
@@ -131,7 +137,7 @@ class Disk {
 
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;
-  metrics::UtilizationTracker busy_{1.0};
+  metrics::UtilizationTracker busy_{1.0, metrics::kMonitorWindowSeconds};
 };
 
 }  // namespace saex::hw

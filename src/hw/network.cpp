@@ -16,6 +16,8 @@ Network::Network(sim::Simulation& sim, int num_nodes, NetworkParams params)
       down_count_(static_cast<size_t>(num_nodes), 0),
       open_count_(static_cast<size_t>(num_nodes), 0),
       open_senders_(static_cast<size_t>(num_nodes), 0),
+      up_share_(static_cast<size_t>(num_nodes), 0.0),
+      down_share_(static_cast<size_t>(num_nodes), 0.0),
       sent_(static_cast<size_t>(num_nodes), 0) {}
 
 void Network::register_fetch(NodeId src, NodeId dst) { open_inc(src, dst); }
@@ -32,19 +34,20 @@ double Network::down_capacity_eff(int senders, int open_requests) const noexcept
 }
 
 double Network::flow_rate(const Flow& f) const noexcept {
-  const int n_up = up_count_[static_cast<size_t>(f.src)];
-  const int n_down = down_count_[static_cast<size_t>(f.dst)];
-  assert(n_up > 0 && n_down > 0);
+  const size_t src = static_cast<size_t>(f.src);
+  const size_t dst = static_cast<size_t>(f.dst);
+  assert(up_count_[src] > 0 && down_count_[dst] > 0);
+  // The caches hold exactly the quotients the uncached formula computes
+  // first, so (share) * w below rounds identically to it.
+  assert(up_share_[src] == up_share_of(f.src));
+  assert(down_share_[dst] == down_share_of(f.dst));
   // A batched flow holds `streams` fair shares on each link and carries its
   // own rate cap. streams == 1 multiplies by 1.0 — exact in IEEE arithmetic —
   // and an unbatched flow's cap IS per_flow_cap, so plain transfers settle
   // bitwise-identically to the pre-flow-mode model.
   const double w = static_cast<double>(f.streams);
-  const double up_share = params_.up_bw / static_cast<double>(n_up) * w;
-  const double down_share =
-      down_capacity_eff(senders_to(f.dst),
-                        std::max(n_down, fetches_to(f.dst))) /
-      static_cast<double>(n_down) * w;
+  const double up_share = up_share_[src] * w;
+  const double down_share = down_share_[dst] * w;
   return std::min({up_share, down_share, f.cap});
 }
 
@@ -82,19 +85,21 @@ void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
   }
   sim_.schedule_after(params_.latency, [this, src, dst, bytes, streams, cap,
                                         done = std::move(done)]() mutable {
-    advance_and_reschedule();
+    // Settle-only: the single wake-up is armed below, after the join.
+    advance_and_reschedule(/*rearm=*/false);
     flows_.push_back(Flow{src, dst, static_cast<double>(bytes), streams, cap,
                           std::move(done)});
     up_count_[static_cast<size_t>(src)] += streams;
     down_count_[static_cast<size_t>(dst)] += streams;
-    open_inc(src, dst);
+    refresh_up(src);
+    open_inc(src, dst);  // refreshes dst's downlink share
     sent_[static_cast<size_t>(src)] += bytes;
     total_bytes_ += bytes;
     advance_and_reschedule();
   });
 }
 
-void Network::advance_and_reschedule() {
+void Network::advance_and_reschedule(bool rearm) {
   SAEX_PROF_SCOPE(kNetwork);
   const double now = sim_.now();
   const double dt = now - last_advance_;
@@ -121,7 +126,8 @@ void Network::advance_and_reschedule() {
     if (f.remaining <= 0.5) {
       up_count_[static_cast<size_t>(f.src)] -= f.streams;
       down_count_[static_cast<size_t>(f.dst)] -= f.streams;
-      open_dec(f.src, f.dst);
+      refresh_up(f.src);
+      open_dec(f.src, f.dst);  // refreshes f.dst's downlink share
       finished.push_back(std::move(f.done));
     } else {
       if (out != i) flows_[out] = std::move(f);
@@ -130,7 +136,7 @@ void Network::advance_and_reschedule() {
   }
   flows_.resize(out);
 
-  if (!flows_.empty()) {
+  if (rearm && !flows_.empty()) {
     // Survivor rates reflect the post-completion counts, so this pass must
     // run after the sweep above.
     double min_time = std::numeric_limits<double>::infinity();

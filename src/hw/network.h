@@ -19,6 +19,7 @@
 // between flow arrivals/departures.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <unordered_map>
@@ -134,7 +135,28 @@ class Network {
                   sim::Callback done);
 
   double flow_rate(const Flow& f) const noexcept;
-  void advance_and_reschedule();
+  // See Disk::advance_and_reschedule: rearm=false settles and completes
+  // without arming the wake-up, for callers about to change the flow set.
+  void advance_and_reschedule(bool rearm = true);
+  // Per-link fair shares, recomputed from the counts; the cached copies in
+  // up_share_/down_share_ are refreshed wherever those counts change.
+  double up_share_of(NodeId n) const noexcept {
+    const int n_up = up_count_[static_cast<size_t>(n)];
+    return n_up > 0 ? params_.up_bw / static_cast<double>(n_up) : 0.0;
+  }
+  double down_share_of(NodeId n) const noexcept {
+    const int n_down = down_count_[static_cast<size_t>(n)];
+    return n_down > 0 ? down_capacity_eff(senders_to(n),
+                                          std::max(n_down, fetches_to(n))) /
+                            static_cast<double>(n_down)
+                      : 0.0;
+  }
+  void refresh_up(NodeId n) noexcept {
+    up_share_[static_cast<size_t>(n)] = up_share_of(n);
+  }
+  void refresh_down(NodeId n) noexcept {
+    down_share_[static_cast<size_t>(n)] = down_share_of(n);
+  }
   static uint64_t open_key(NodeId src, NodeId dst) noexcept {
     return (static_cast<uint64_t>(static_cast<uint32_t>(dst)) << 32) |
            static_cast<uint32_t>(src);
@@ -144,6 +166,7 @@ class Network {
       ++open_senders_[static_cast<size_t>(dst)];
     }
     ++open_count_[static_cast<size_t>(dst)];
+    refresh_down(dst);
   }
   void open_dec(NodeId src, NodeId dst) {
     const auto it = open_.find(open_key(src, dst));
@@ -156,6 +179,7 @@ class Network {
       open_.erase(it);
     }
     --open_count_[static_cast<size_t>(dst)];
+    refresh_down(dst);
   }
 
   sim::Simulation& sim_;
@@ -175,6 +199,11 @@ class Network {
   std::unordered_map<uint64_t, int> open_;
   std::vector<int> open_count_;    // Σ_src open_[dst][src]
   std::vector<int> open_senders_;  // #{src : open_[dst][src] > 0}
+  // Cached per-stream link shares: up_bw/n_up per source and the incast-
+  // derated downlink capacity / n_down per destination (0 while idle), so
+  // flow_rate() does no division.
+  std::vector<double> up_share_;
+  std::vector<double> down_share_;
   std::vector<sim::Callback> finished_scratch_;
   std::vector<Bytes> sent_;
   Bytes total_bytes_ = 0;

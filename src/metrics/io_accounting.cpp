@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 #include "prof/profiler.h"
 
@@ -20,21 +21,41 @@ void UtilizationTracker::set_active(double t, double active) {
   last_t_ = t;
   active_ = active;
   history_.push_back({t, integral_, active});
+  // Keep the last point at or before the horizon: it answers queries that
+  // start anywhere in [horizon, last_t_]. Any later query start t0 >= now -
+  // lookback_ >= horizon, since rounding of the subtraction is monotone.
+  const double horizon = last_t_ - lookback_;
+  while (head_ + 1 < history_.size() && history_[head_ + 1].t <= horizon) {
+    ++head_;
+  }
+  constexpr size_t kCompactMin = 32;
+  if (head_ >= kCompactMin && 2 * head_ >= history_.size()) {
+    history_.erase(history_.begin(),
+                   history_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 double UtilizationTracker::integral_at(double t) const {
   // Binary search the last change point at or before t.
+  const auto first = history_.begin() + static_cast<std::ptrdiff_t>(head_);
   auto it = std::upper_bound(
-      history_.begin(), history_.end(), t,
+      first, history_.end(), t,
       [](double value, const Point& p) { return value < p.t; });
-  assert(it != history_.begin());
+  assert(it != first && "query older than the retained look-back");
   --it;
   return it->integral + it->active * (t - it->t);
 }
 
 double UtilizationTracker::utilization(double t0, double t1) const {
   if (t1 <= t0 || capacity_ <= 0.0) return 0.0;
-  return (integral_at(t1) - integral_at(t0)) / (capacity_ * (t1 - t0));
+  return utilization_since(t0, integral_at(t0), t1);
+}
+
+double UtilizationTracker::utilization_since(double t0, double integral_t0,
+                                             double t1) const {
+  if (t1 <= t0 || capacity_ <= 0.0) return 0.0;
+  return (integral_at(t1) - integral_t0) / (capacity_ * (t1 - t0));
 }
 
 }  // namespace saex::metrics

@@ -8,6 +8,8 @@
 // argument for why ζ also works for network-bound stages).
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -39,12 +41,26 @@ class IoAccounting {
   IoCounters counters_;
 };
 
+/// Look-back, in seconds, of the executor Monitor's disk %util reading
+/// (ExecutorRuntime::sample) and therefore of every disk busy tracker.
+inline constexpr double kMonitorWindowSeconds = 5.0;
+
 /// Integral of "active units" over time for a capacity-k resource; answers
 /// "average utilization over [t0, t1]" queries for disk-busy (Fig. 5),
 /// CPU-busy and iowait (Fig. 1) rollups.
+///
+/// History is bounded by a look-back L fixed at construction: change points
+/// older than L before the latest set_active() are dropped, so integral_at(t)
+/// is answerable for every t >= last_change - L (debug builds assert this).
+/// Readers that need an older start point snapshot integral_at() when the
+/// window opens and finish with utilization_since(). The default L keeps the
+/// whole run.
 class UtilizationTracker {
  public:
-  explicit UtilizationTracker(double capacity = 1.0) : capacity_(capacity) {}
+  explicit UtilizationTracker(
+      double capacity = 1.0,
+      double lookback = std::numeric_limits<double>::infinity())
+      : capacity_(capacity), lookback_(lookback) {}
 
   /// Records that `active` units are busy from sim-time `t` onward.
   /// Times must be non-decreasing.
@@ -56,10 +72,18 @@ class UtilizationTracker {
   /// Mean utilization (0..1) over [t0, t1].
   double utilization(double t0, double t1) const;
 
+  /// Same, with integral_at(t0) taken earlier (e.g. at stage start). Bitwise
+  /// equal to utilization(t0, t1) on an unbounded tracker: a change point
+  /// added later at t0 itself adds active*(t0 - t0) = +0.0 to the integral.
+  double utilization_since(double t0, double integral_t0, double t1) const;
+
   double capacity() const noexcept { return capacity_; }
+  /// Change points currently held (for memory-bound checks).
+  size_t retained_points() const noexcept { return history_.size() - head_; }
 
  private:
   double capacity_;
+  double lookback_;
   double last_t_ = 0.0;
   double active_ = 0.0;
   double integral_ = 0.0;
@@ -69,7 +93,10 @@ class UtilizationTracker {
     double integral;
     double active;
   };
+  // Retained points are history_[head_..]; the dropped prefix is erased in
+  // bulk once it is at least half the vector, so trimming is amortised O(1).
   std::vector<Point> history_{{0.0, 0.0, 0.0}};
+  size_t head_ = 0;
 };
 
 }  // namespace saex::metrics

@@ -68,6 +68,8 @@ class Simulation {
 
   size_t pending() const noexcept { return live_events_; }
   uint64_t processed() const noexcept { return processed_; }
+  /// Total schedule_at/schedule_after calls, cancelled events included.
+  uint64_t scheduled() const noexcept { return seq_; }
 
  private:
   // One scheduled (or tombstoned) event's payload. The generation counter

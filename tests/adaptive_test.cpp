@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "adaptive/analyzer.h"
@@ -270,6 +271,11 @@ struct Landscape {
   std::map<int, double> throughput;  // bytes/sec at size j
   int expected_settle;
 };
+
+// Print the landscape by name. Without this gtest dumps the raw struct
+// bytes, including the `name` pointer, so the case names that ctest
+// derives from the printed value change with every address-space layout.
+void PrintTo(const Landscape& land, std::ostream* os) { *os << land.name; }
 
 class ControllerLandscapeTest : public ::testing::TestWithParam<Landscape> {};
 

@@ -129,6 +129,27 @@ TEST(Disk, BusyTrackerReflectsActivity) {
   EXPECT_GT(disk.busy_tracker().utilization(0.0, end), 0.95);
 }
 
+TEST(Disk, LoneTransferSchedulesSetupAndOneWakeUp) {
+  sim::Simulation sim;
+  Disk disk(sim, DiskParams::hdd(), "d");
+  disk.submit(mib(16), false, [] {});
+  sim.run();
+  EXPECT_EQ(sim.scheduled(), 2u);  // setup latency + the completion wake-up
+  EXPECT_EQ(sim.processed(), 2u);
+}
+
+TEST(Disk, JoiningABusyDeviceArmsOneWakeUp) {
+  // The second join settles the first transfer without arming a wake-up of
+  // its own, then arms exactly one for the new transfer set.
+  sim::Simulation sim;
+  Disk disk(sim, DiskParams::hdd(), "d");
+  disk.submit(mib(16), false, [] {});
+  disk.submit(mib(16), false, [] {});
+  sim.run();
+  EXPECT_EQ(sim.scheduled(), 4u);  // 2 setups + 1 wake-up per join
+  EXPECT_EQ(sim.processed(), 3u);  // both complete at the surviving wake-up
+}
+
 TEST(Disk, SharedLatencyGrowsWithConcurrency) {
   // Single-transfer completion time vs the same transfer alongside 7 others:
   // processor sharing must stretch individual latencies.

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "common/format.h"
@@ -243,6 +246,92 @@ TEST(UtilizationTracker, IntegralExtrapolatesLastState) {
   UtilizationTracker u(1.0);
   u.set_active(0.0, 1.0);
   EXPECT_NEAR(u.integral_at(7.0), 7.0, 1e-12);
+}
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// A bounded tracker against the unbounded one (the reference): random
+// set_active sequences with same-instant repeats and level-unchanged pushes.
+// Every in-window utilization() and every stage-start snapshot finished with
+// utilization_since() must match bit for bit.
+TEST(UtilizationTracker, BoundedMatchesUnboundedInWindowAndFromSnapshots) {
+  for (const double lookback : {0.0, 0.7, kMonitorWindowSeconds}) {
+    UtilizationTracker ref(4.0);
+    UtilizationTracker lean(4.0, lookback);
+    uint64_t rng = 7;
+    auto next = [&rng] {
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      return rng >> 33;
+    };
+    auto unit = [&next] { return static_cast<double>(next() % 1000) / 1000.0; };
+    struct Snapshot {
+      double t0;
+      double integral;
+    };
+    std::vector<Snapshot> open;
+    double t = 0.0;
+    double level = 0.0;
+    for (int i = 0; i < 20000; ++i) {
+      switch (next() % 4) {
+        case 0: break;                               // same instant
+        case 1: t += 1e-3 * unit(); break;           // tiny gap
+        default: t += 0.25 * unit(); break;
+      }
+      if (next() % 3 != 0) level = static_cast<double>(next() % 5);
+      ref.set_active(t, level);   // may repeat the previous level
+      lean.set_active(t, level);
+      // The readers may query a little after the last change; simulated time
+      // never goes back, so the next change comes no earlier than `now`.
+      const double now = t + (next() % 2 == 0 ? 0.0 : 0.1 * unit());
+      t = now;
+      if (next() % 5 == 0) {
+        open.push_back(Snapshot{now, lean.integral_at(now)});
+        EXPECT_EQ(bits(open.back().integral), bits(ref.integral_at(now)));
+      }
+      if (!open.empty() && next() % 4 == 0) {
+        const size_t k = next() % open.size();
+        const Snapshot snap = open[k];
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+        ASSERT_EQ(bits(lean.utilization_since(snap.t0, snap.integral, now)),
+                  bits(ref.utilization(snap.t0, now)))
+            << "lookback " << lookback << " step " << i;
+      }
+      // The Monitor's window query, and an arbitrary sub-window of it.
+      const double w0 = std::max(0.0, now - lookback);
+      const double w1 = std::max(now, 1e-9);
+      ASSERT_EQ(bits(lean.utilization(w0, w1)), bits(ref.utilization(w0, w1)))
+          << "lookback " << lookback << " step " << i;
+      const double s0 = w0 + (now - w0) * unit();
+      const double s1 = s0 + (now - s0) * unit();
+      ASSERT_EQ(bits(lean.utilization(s0, s1)), bits(ref.utilization(s0, s1)));
+      ASSERT_EQ(bits(lean.integral_at(now)), bits(ref.integral_at(now)));
+    }
+  }
+}
+
+TEST(UtilizationTracker, RetainedPointsStayBoundedOverALongRun) {
+  UtilizationTracker unbounded(1.0);
+  UtilizationTracker window(1.0, kMonitorWindowSeconds);
+  UtilizationTracker instant(8.0, 0.0);
+  constexpr int kChanges = 200000;
+  constexpr double kGap = 0.01;
+  size_t window_max = 0;
+  for (int i = 1; i <= kChanges; ++i) {
+    const double t = kGap * i;
+    const double level = static_cast<double>(i % 2);
+    unbounded.set_active(t, level);
+    window.set_active(t, level);
+    instant.set_active(t, level * 8.0);
+    window_max = std::max(window_max, window.retained_points());
+    ASSERT_EQ(instant.retained_points(), 1u);
+  }
+  EXPECT_EQ(unbounded.retained_points(), static_cast<size_t>(kChanges) + 1);
+  // Points in (now - window, now] plus the one at or before the horizon.
+  EXPECT_LE(window_max,
+            static_cast<size_t>(kMonitorWindowSeconds / kGap) + 2);
+  const double now = kGap * kChanges;
+  EXPECT_EQ(bits(window.utilization(now - kMonitorWindowSeconds, now)),
+            bits(unbounded.utilization(now - kMonitorWindowSeconds, now)));
 }
 
 }  // namespace

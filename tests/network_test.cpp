@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "hw/network.h"
@@ -170,6 +172,144 @@ TEST(Network, StaggeredArrivalsAdjustRates) {
   });
   sim.run();
   EXPECT_GT(first_done, 1.2);  // alone it would finish at ~1.0
+}
+
+// Completion times of three flows into/out of node 1, optionally with fetch
+// registrations at node 1 and 3 opened at `open_at` and closed at `close_at`.
+std::vector<double> finish_times(double open_at, double close_at) {
+  sim::Simulation sim;
+  Network net(sim, 12, small_net());
+  std::vector<double> done(3, -1.0);
+  net.transfer(0, 1, static_cast<Bytes>(100e6), [&] { done[0] = sim.now(); });
+  net.transfer(2, 1, static_cast<Bytes>(50e6), [&] { done[1] = sim.now(); });
+  net.transfer(1, 3, static_cast<Bytes>(30e6), [&] { done[2] = sim.now(); });
+  if (open_at >= 0.0) {
+    sim.schedule_at(open_at, [&net] {
+      for (int src = 4; src < 10; ++src) net.register_fetch(src, 1);
+      net.register_fetch(4, 3);
+      net.register_fetch(5, 3);
+    });
+    sim.schedule_at(close_at, [&net] {
+      for (int src = 4; src < 10; ++src) net.unregister_fetch(src, 1);
+      net.unregister_fetch(4, 3);
+      net.unregister_fetch(5, 3);
+    });
+  }
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0);
+  EXPECT_EQ(net.fetches_to(1), 0);
+  EXPECT_EQ(net.senders_to(1), 0);
+  return done;
+}
+
+TEST(Network, FetchRegistrationBetweenAdvancesRefreshesCachedShares) {
+  // The cached link shares must follow register/unregister_fetch even when
+  // no flow joins or completes in between (debug builds also assert, in
+  // flow_rate, that each cached share equals the formula from the counts).
+  const std::vector<double> control = finish_times(-1.0, -1.0);
+  // Flow (1,3) completes at ~0.3, node 1's two inbound flows at ~1.0 and
+  // ~1.5: opened and closed again inside (0.3, 1.0), the registrations are
+  // never seen by an advance, so every completion is bitwise unchanged.
+  EXPECT_EQ(finish_times(0.35, 0.45), control);
+  // Held across the advance at ~0.3, they do throttle node 1's downlink:
+  // its inbound flows finish later, and all flows still drain.
+  const std::vector<double> throttled = finish_times(0.2, 0.5);
+  EXPECT_GT(throttled[0], control[0]);
+  EXPECT_GT(throttled[1], control[1]);
+  EXPECT_EQ(throttled[2], control[2]);
+}
+
+TEST(Network, LinkShareRecoversWhenASiblingFlowCompletes) {
+  // Two flows share node 0's uplink (then, mirrored, its downlink) at 50 MB/s
+  // each; once the shorter one finishes, the survivor gets the whole link.
+  for (const bool uplink : {true, false}) {
+    sim::Simulation sim;
+    Network net(sim, 4, small_net());
+    double short_done = -1.0;
+    double long_done = -1.0;
+    const auto route = [uplink](int peer) {
+      return uplink ? std::pair{0, peer} : std::pair{peer, 0};
+    };
+    const auto [s1, d1] = route(1);
+    const auto [s2, d2] = route(2);
+    net.transfer(s1, d1, static_cast<Bytes>(50e6),
+                 [&] { short_done = sim.now(); });
+    net.transfer(s2, d2, static_cast<Bytes>(100e6),
+                 [&] { long_done = sim.now(); });
+    sim.run();
+    const double latency = small_net().latency;
+    EXPECT_NEAR(short_done, latency + 1.0, 1e-9);
+    EXPECT_NEAR(long_done, latency + 1.5, 1e-9);
+  }
+}
+
+TEST(Network, RandomFlowsAndFetchRegistrationsDrain) {
+  // Pseudo-random flows, batched flows and register/unregister pairs, so
+  // cached shares are refreshed in every order the counts can change.
+  sim::Simulation sim;
+  Network net(sim, 8, small_net());
+  uint64_t rng = 11;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int>(rng >> 33);
+  };
+  int done = 0;
+  int started = 0;
+  for (int i = 0; i < 400; ++i) {
+    const double t = 0.01 * (next() % 300);
+    const int src = next() % 8;
+    const int dst = (src + 1 + next() % 7) % 8;
+    const Bytes bytes = static_cast<Bytes>(1e5 * (1 + next() % 50));
+    const int kind = next() % 3;
+    if (kind == 2) {
+      const double hold = 0.001 * (next() % 400);
+      sim.schedule_at(t, [&net, &sim, src, dst, hold] {
+        net.register_fetch(src, dst);
+        sim.schedule_after(hold, [&net, src, dst] {
+          net.unregister_fetch(src, dst);
+        });
+      });
+      continue;
+    }
+    ++started;
+    sim.schedule_at(t, [&net, &done, src, dst, bytes, kind] {
+      if (kind == 0) {
+        net.transfer(src, dst, bytes, [&done] { ++done; });
+      } else {
+        net.transfer_flow(src, dst, bytes, 3, 1 << 16, [&done] { ++done; });
+      }
+    });
+  }
+  sim.run();
+  EXPECT_EQ(done, started);
+  EXPECT_EQ(net.active_flows(), 0);
+  for (int n = 0; n < 8; ++n) {
+    EXPECT_EQ(net.flows_from(n), 0);
+    EXPECT_EQ(net.flows_to(n), 0);
+    EXPECT_EQ(net.fetches_to(n), 0);
+    EXPECT_EQ(net.senders_to(n), 0);
+  }
+}
+
+TEST(Network, LoneFlowSchedulesSetupAndOneWakeUp) {
+  sim::Simulation sim;
+  Network net(sim, 4, small_net());
+  net.transfer(0, 1, static_cast<Bytes>(10e6), [] {});
+  sim.run();
+  EXPECT_EQ(sim.scheduled(), 2u);  // setup latency + the completion wake-up
+  EXPECT_EQ(sim.processed(), 2u);
+}
+
+TEST(Network, JoiningABusyNetworkArmsOneWakeUp) {
+  // The second join settles the first flow without arming a wake-up of its
+  // own, then arms exactly one for the new flow set.
+  sim::Simulation sim;
+  Network net(sim, 4, small_net());
+  net.transfer(0, 1, static_cast<Bytes>(10e6), [] {});
+  net.transfer(2, 3, static_cast<Bytes>(10e6), [] {});
+  sim.run();
+  EXPECT_EQ(sim.scheduled(), 4u);  // 2 setups + 1 wake-up per join
+  EXPECT_EQ(sim.processed(), 3u);  // both complete at the surviving wake-up
 }
 
 }  // namespace

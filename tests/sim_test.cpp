@@ -239,6 +239,18 @@ TEST(Simulation, RandomScheduleCancelMatchesReference) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(Simulation, ScheduledCountsCancelledEventsToo) {
+  Simulation s;
+  EXPECT_EQ(s.scheduled(), 0u);
+  s.schedule_at(1.0, [] {});
+  const EventId doomed = s.schedule_after(2.0, [] {});
+  s.schedule_at(3.0, [&s] { s.schedule_after(1.0, [] {}); });
+  EXPECT_TRUE(s.cancel(doomed));
+  s.run();
+  EXPECT_EQ(s.scheduled(), 4u);
+  EXPECT_EQ(s.processed(), 3u);
+}
+
 TEST(Simulation, CascadingEventsTerminate) {
   Simulation s;
   int depth = 0;
