@@ -53,7 +53,9 @@ AppResult run_app(const workloads::WorkloadSpec& spec,
   config.set_int("spark.default.parallelism", 128);
   for (const auto& [k, v] : overrides) config.set(k, v);
 
+  engine::EventBuffer events;
   engine::SparkContext ctx(cluster, std::move(config));
+  ctx.event_log().attach(events);
   AppResult out;
   const auto t0 = Clock::now();
   try {
@@ -67,7 +69,7 @@ AppResult run_app(const workloads::WorkloadSpec& spec,
     out.failed = true;
   }
   out.wall = std::chrono::duration<double>(Clock::now() - t0).count();
-  out.events = ctx.event_log().to_json_lines();
+  out.events = events.to_json_lines();
   return out;
 }
 

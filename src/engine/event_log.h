@@ -1,15 +1,25 @@
 // Application event log — the engine's analogue of Spark's event log
-// (gated by saex.eventLog.enabled): a flat record of job/stage/task/resize
-// events that tools can post-process. Two export formats:
+// (gated by saex.eventLog.enabled): a flat stream of job/stage/task/resize
+// events. The log itself keeps nothing but a count; it fans each event out
+// to the attached sinks as it is recorded:
 //
-//  * JSON lines, one event per line (Spark-history-server style)
-//  * Chrome trace format (chrome://tracing / Perfetto), with one process
-//    per node and tasks as complete ("X") events — the quickest way to *see*
-//    an adaptive executor throttle its concurrency mid-job.
+//  * JsonLinesSink — one JSON object per line (Spark-history-server style)
+//  * ChromeTraceSink — Chrome trace format (chrome://tracing / Perfetto),
+//    with one process per node and tasks as complete ("X") events; the
+//    quickest way to *see* an adaptive executor throttle its concurrency
+//    mid-job
+//  * EventBuffer — keeps the records in memory, for tests and benches that
+//    inspect them
+//
+// The stream sinks hold only the tasks in flight, so a run's log costs
+// O(in-flight tasks) of memory however long the run is.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/units.h"
@@ -61,39 +71,101 @@ struct Event {
   std::string label;     // stage/app name where useful
 };
 
-class EventLog {
+/// Receives every recorded event, in record order. Sinks only observe: the
+/// simulation never reads anything back from them, so attaching one never
+/// changes a report. A log holds its sinks by address, so they neither copy
+/// nor move.
+class EventSink {
  public:
-  void record(Event event) {
-    if (enabled_) events_.push_back(std::move(event));
-  }
+  EventSink() = default;
+  EventSink(const EventSink&) = delete;
+  EventSink& operator=(const EventSink&) = delete;
+  virtual ~EventSink() = default;
+  virtual void on_event(const Event& event) = 0;
+};
 
-  /// saex.eventLog.enabled. Disabled, record() is a no-op: the log grows by
-  /// several task/stage events per task, which is unbounded live memory on a
-  /// long serve replay (a 100k-job trace accumulates ~10^8 events).
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  bool enabled() const noexcept { return enabled_; }
+/// Writes one JSON object per event, one per line. The stream must outlive
+/// the sink.
+class JsonLinesSink final : public EventSink {
+ public:
+  explicit JsonLinesSink(std::ostream& out) : out_(&out) {}
+  void on_event(const Event& event) override;
+
+ private:
+  std::ostream* out_;
+};
+
+/// Writes a Chrome trace JSON array: "[" when constructed, "]\n" on close().
+/// Tasks become duration events grouped by node (each end is paired with the
+/// most recent open start of the same stage/partition/node); pool resizes
+/// become counter events so the thread-count staircase is visible on the
+/// timeline. The stream must outlive the sink.
+class ChromeTraceSink final : public EventSink {
+ public:
+  explicit ChromeTraceSink(std::ostream& out);
+  /// Closes the array if close() was not called.
+  ~ChromeTraceSink() override { close(); }
+
+  void on_event(const Event& event) override;
+  /// Writes the closing "]\n"; later calls and later events are ignored.
+  void close();
+  /// Task starts not yet paired with an end.
+  size_t open_tasks() const noexcept { return open_.size(); }
+
+ private:
+  void emit(const std::string& object);
+
+  using TaskKey = std::tuple<int, int, int>;  // stage, partition, node
+  std::ostream* out_;
+  bool first_ = true;
+  bool closed_ = false;
+  // Open task starts; a key's equal range is its stack of start times, in
+  // start order (multimap inserts equal keys at the back).
+  std::multimap<TaskKey, double> open_;
+};
+
+/// Keeps every event in memory, for tests and benches that inspect them.
+class EventBuffer final : public EventSink {
+ public:
+  void on_event(const Event& event) override { events_.push_back(event); }
 
   const std::vector<Event>& events() const noexcept { return events_; }
   size_t size() const noexcept { return events_.size(); }
-  void clear() { events_.clear(); }
 
   /// Events of one kind, in order.
   std::vector<Event> of_kind(EventKind kind) const;
 
-  /// One JSON object per line.
+  /// The buffered events replayed through a JsonLinesSink.
   std::string to_json_lines() const;
-
-  /// Chrome trace JSON (array form). Tasks become duration events grouped
-  /// by node; pool resizes become counter events so the thread-count
-  /// staircase is visible on the timeline.
+  /// The buffered events replayed through a ChromeTraceSink.
   std::string to_chrome_trace() const;
-
-  /// Writes `content` produced by either exporter; returns false on I/O
-  /// failure.
-  static bool write_file(const std::string& path, const std::string& content);
 
  private:
   std::vector<Event> events_;
+};
+
+class EventLog {
+ public:
+  void record(const Event& event) {
+    if (!enabled_) return;
+    ++records_;
+    for (EventSink* sink : sinks_) sink->on_event(event);
+  }
+
+  /// Sinks are not owned; each must outlive the log.
+  void attach(EventSink& sink) { sinks_.push_back(&sink); }
+
+  /// saex.eventLog.enabled. Disabled, record() is a no-op: no sink sees an
+  /// event and size() stays 0.
+  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
+  bool enabled() const noexcept { return enabled_; }
+
+  /// Events recorded so far (whether or not any sink was attached).
+  size_t size() const noexcept { return records_; }
+
+ private:
+  std::vector<EventSink*> sinks_;
+  size_t records_ = 0;
   bool enabled_ = true;
 };
 

@@ -69,6 +69,7 @@ struct ExecutorRuntime::TaskRun {
 
   ExecutorRuntime* exec = nullptr;
   TaskSpec spec;
+  int stage_ordinal = -1;  // for the end/failure event, matching the start's
   TaskDone on_done;
 
   // Input plan.
@@ -739,6 +740,7 @@ void ExecutorRuntime::launch(const TaskSpec& spec, const Stage& stage,
   TaskRun* raw = run.get();
   run->exec = this;
   run->spec = spec;
+  run->stage_ordinal = stage.ordinal;
   run->on_done = std::move(on_done);
   run->cpu_per_byte =
       spec.input_bytes > 0
@@ -927,6 +929,7 @@ void ExecutorRuntime::finish_task(TaskRun* run, const TaskOutcome& outcome) {
   --running_;
   const double now = env_.sim->now();
   const TaskSpec spec = run->spec;
+  const int stage_ordinal = run->stage_ordinal;
   TaskDone on_done = std::move(run->on_done);
 
   active_.remove_if(
@@ -935,7 +938,7 @@ void ExecutorRuntime::finish_task(TaskRun* run, const TaskOutcome& outcome) {
   if (env_.event_log != nullptr) {
     env_.event_log->record(Event{
         outcome.success ? EventKind::kTaskEnd : EventKind::kTaskFailed, now, -1,
-        -1, spec.partition, node_id_, spec.input_bytes, {}});
+        stage_ordinal, spec.partition, node_id_, spec.input_bytes, {}});
   }
   if (outcome.success) {
     // Failed attempts neither advance the tuning interval nor count as

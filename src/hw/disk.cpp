@@ -132,7 +132,7 @@ void Disk::submit(Bytes bytes, bool is_write, sim::Callback done,
   });
 }
 
-void Disk::advance_and_reschedule(bool rearm) {
+std::vector<sim::Callback> Disk::settle(bool rearm) {
   SAEX_PROF_SCOPE(kDisk);
   const double now = sim_.now();
   const double dt = now - last_advance_;
@@ -185,8 +185,15 @@ void Disk::advance_and_reschedule(bool rearm) {
     });
   }
 
-  // Callbacks run last: they may submit new transfers reentrantly (a nested
-  // advance sees an empty finished_scratch_ and allocates its own buffer).
+  return finished;
+}
+
+void Disk::advance_and_reschedule(bool rearm) {
+  std::vector<sim::Callback> finished = settle(rearm);
+  // Callbacks run last, outside settle()'s profiler scope, so the engine work
+  // they do is not billed to the disk. They may submit new transfers
+  // reentrantly (a nested advance sees an empty finished_scratch_ and
+  // allocates its own buffer).
   for (auto& fn : finished) fn();
   finished.clear();
   finished_scratch_ = std::move(finished);

@@ -111,6 +111,9 @@ class Disk {
   // to change the transfer set pass rearm=false and re-arm afterwards, so a
   // device change schedules one wake-up, not one that is cancelled at once.
   void advance_and_reschedule(bool rearm = true);
+  // The device part of advance_and_reschedule, under the disk's profiler
+  // scope; returns the finished transfers' callbacks for the caller to run.
+  std::vector<sim::Callback> settle(bool rearm);
   double current_rate_per_transfer() const noexcept;
   double effective_streams() const noexcept;
   double capacity_uncached(double kd) const noexcept;

@@ -99,7 +99,7 @@ void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
   });
 }
 
-void Network::advance_and_reschedule(bool rearm) {
+std::vector<sim::Callback> Network::settle(bool rearm) {
   SAEX_PROF_SCOPE(kNetwork);
   const double now = sim_.now();
   const double dt = now - last_advance_;
@@ -149,6 +149,12 @@ void Network::advance_and_reschedule(bool rearm) {
     });
   }
 
+  return finished;
+}
+
+void Network::advance_and_reschedule(bool rearm) {
+  std::vector<sim::Callback> finished = settle(rearm);
+  // Outside settle()'s profiler scope: see Disk::advance_and_reschedule.
   for (auto& fn : finished) fn();
   finished.clear();
   finished_scratch_ = std::move(finished);

@@ -138,6 +138,7 @@ class Network {
   // See Disk::advance_and_reschedule: rearm=false settles and completes
   // without arming the wake-up, for callers about to change the flow set.
   void advance_and_reschedule(bool rearm = true);
+  std::vector<sim::Callback> settle(bool rearm);  // as Disk::settle
   // Per-link fair shares, recomputed from the counts; the cached copies in
   // up_share_/down_share_ are refreshed wherever those counts change.
   double up_share_of(NodeId n) const noexcept {

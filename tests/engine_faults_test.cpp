@@ -18,17 +18,19 @@ conf::Config faulty_config(double failure_prob, int max_failures = 4) {
 
 TEST(FaultTolerance, RetriesMakeTheJobSucceed) {
   hw::Cluster cluster(hw::ClusterSpec::das5(4));
+  EventBuffer events;
   SparkContext ctx(cluster, faulty_config(0.15));
+  ctx.event_log().attach(events);
   ctx.dfs().load_input("/in", gib(4), 4);
   const JobReport report =
       ctx.run_job(ctx.text_file("/in").map("m", {0.01, 1.0}).count(), "flaky");
 
   // With a 15% per-attempt failure rate over 32 tasks, failures are certain
   // under this seed; every one must have been retried transparently.
-  const auto failures = ctx.event_log().of_kind(EventKind::kTaskFailed);
+  const auto failures = events.of_kind(EventKind::kTaskFailed);
   EXPECT_GT(failures.size(), 0u);
   // Every partition eventually succeeded exactly once.
-  EXPECT_EQ(ctx.event_log().of_kind(EventKind::kTaskEnd).size(), 32u);
+  EXPECT_EQ(events.of_kind(EventKind::kTaskEnd).size(), 32u);
   EXPECT_GT(report.total_runtime, 0.0);
 }
 
@@ -139,11 +141,13 @@ TEST(Blacklisting, FlakyExecutorGetsExcluded) {
   config.set_double("saex.sim.flakyNodeFailureProb", 1.0);  // always fails
   config.set_bool("spark.blacklist.enabled", true);
   config.set_int("spark.task.maxFailures", 12);
+  EventBuffer events;
   SparkContext ctx(cluster, config);
+  ctx.event_log().attach(events);
   ctx.dfs().load_input("/in", gib(4), 4);
   const JobReport report = ctx.run_job(ctx.text_file("/in").count(), "flaky2");
   // The job succeeds: node 2's work moved elsewhere once it was blacklisted.
-  EXPECT_EQ(ctx.event_log().of_kind(EventKind::kTaskEnd).size(), 32u);
+  EXPECT_EQ(events.of_kind(EventKind::kTaskEnd).size(), 32u);
   EXPECT_GT(report.total_runtime, 0.0);
   // Node 2 never completed anything.
   EXPECT_EQ(ctx.executor(2).io_counters().tasks_completed, 0u);
@@ -158,13 +162,15 @@ TEST(Blacklisting, CutsWastedAttemptsOnAFullyFlakyNode) {
     config.set_double("saex.sim.flakyNodeFailureProb", 1.0);
     config.set_bool("spark.blacklist.enabled", blacklist);
     config.set_int("spark.task.maxFailures", 16);
+    EventBuffer events;
     SparkContext ctx(cluster, config);
+    ctx.event_log().attach(events);
     // Replication 1: node 2's blocks are local only to node 2, so without
     // blacklisting it keeps re-picking (and killing) its own tasks until
     // delay scheduling lets healthy nodes steal them.
     ctx.dfs().load_input("/in", gib(4), 1);
     (void)ctx.run_job(ctx.text_file("/in").count(), "x");
-    return ctx.event_log().of_kind(EventKind::kTaskFailed).size();
+    return events.of_kind(EventKind::kTaskFailed).size();
   };
   // With blacklisting node 2 is cut off after its second failure; without
   // it, the node keeps drawing and killing attempts until the stage ends.

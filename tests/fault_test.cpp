@@ -15,6 +15,7 @@
 namespace saex {
 namespace {
 
+using engine::EventBuffer;
 using engine::EventKind;
 using engine::JobReport;
 using engine::SparkContext;
@@ -98,11 +99,13 @@ TEST(LineageRecovery, ExecutorKillResubmitsLostMapPartitions) {
   hw::Cluster cluster(hw::ClusterSpec::das5(4));
   // 2 GiB / 128 MiB = 16 map tasks; fire after 18 finished attempts — the
   // reduce stage is underway with map outputs registered on every node.
+  EventBuffer events;
   SparkContext ctx(cluster, kill_config(1, 18));
+  ctx.event_log().attach(events);
   const JobReport report = run_shuffle_with_kill(ctx);
 
-  EXPECT_EQ(ctx.event_log().of_kind(EventKind::kExecutorLost).size(), 1u);
-  EXPECT_GE(ctx.event_log().of_kind(EventKind::kStageResubmitted).size(), 1u);
+  EXPECT_EQ(events.of_kind(EventKind::kExecutorLost).size(), 1u);
+  EXPECT_GE(events.of_kind(EventKind::kStageResubmitted).size(), 1u);
   EXPECT_GT(report.total_runtime, 0.0);
   EXPECT_EQ(ctx.recovering_shuffles(), 0);  // recovery drained before finish
 
@@ -120,9 +123,11 @@ TEST(LineageRecovery, ExecutorKillResubmitsLostMapPartitions) {
 TEST(LineageRecovery, KillReplaysBitwiseIdentically) {
   auto run = [](std::string* event_log) {
     hw::Cluster cluster(hw::ClusterSpec::das5(4));
+    EventBuffer events;
     SparkContext ctx(cluster, kill_config(1, 18));
+    ctx.event_log().attach(events);
     const JobReport report = run_shuffle_with_kill(ctx);
-    *event_log = ctx.event_log().to_json_lines();
+    *event_log = events.to_json_lines();
     return report.total_runtime;
   };
   std::string log_a, log_b;
@@ -134,14 +139,16 @@ TEST(LineageRecovery, KillReplaysBitwiseIdentically) {
 
 TEST(LineageRecovery, DeadExecutorReceivesNoFurtherTasks) {
   hw::Cluster cluster(hw::ClusterSpec::das5(4));
+  EventBuffer events;
   SparkContext ctx(cluster, kill_config(2, 18));
+  ctx.event_log().attach(events);
   (void)run_shuffle_with_kill(ctx);
 
-  const auto lost = ctx.event_log().of_kind(EventKind::kExecutorLost);
+  const auto lost = events.of_kind(EventKind::kExecutorLost);
   ASSERT_EQ(lost.size(), 1u);
   const double kill_time = lost[0].time;
   for (const engine::Event& e :
-       ctx.event_log().of_kind(EventKind::kTaskStart)) {
+       events.of_kind(EventKind::kTaskStart)) {
     if (e.node == 2) {
       EXPECT_LT(e.time, kill_time);
     }
@@ -186,12 +193,14 @@ TEST(LineageRecovery, CachedDataLossAbortsWithTypedError) {
 
 TEST(LineageRecovery, OutOfRangeKillTargetIsIgnored) {
   hw::Cluster cluster(hw::ClusterSpec::das5(4));
+  EventBuffer events;
   SparkContext ctx(cluster, base_config());
+  ctx.event_log().attach(events);
   ctx.dfs().load_input("/in", gib(1), 4);
   ctx.kill_executor(9);   // cluster has nodes 0..3
   ctx.kill_executor(-1);
   EXPECT_EQ(ctx.scheduler().dead_executor_count(), 0);
-  EXPECT_EQ(ctx.event_log().of_kind(EventKind::kExecutorLost).size(), 0u);
+  EXPECT_EQ(events.of_kind(EventKind::kExecutorLost).size(), 0u);
   const JobReport r = ctx.run_job(
       ctx.text_file("/in").map("m", {0.01, 1.0}).count(), "unharmed");
   EXPECT_GT(r.total_runtime, 0.0);
@@ -268,12 +277,14 @@ TEST(SlowNode, DegradedDiskSlowsTheJobAndLogsTheEvent) {
       c.set_double("saex.fault.slowFactor", 0.2);
       c.set("saex.fault.slowTime", "5s");
     }
+    EventBuffer log;
     SparkContext ctx(cluster, c);
+    ctx.event_log().attach(log);
     ctx.dfs().load_input("/in", gib(4), 4);
     const JobReport r =
         ctx.run_job(ctx.text_file("/in").save_as_text_file("/out"), "x");
     const size_t events =
-        ctx.event_log().of_kind(EventKind::kDiskDegraded).size();
+        log.of_kind(EventKind::kDiskDegraded).size();
     return std::make_pair(r.total_runtime, events);
   };
   const auto [slow_time, slow_events] = run(true);
@@ -294,7 +305,9 @@ TEST(ServeFaults, ServerSurvivesAnExecutorKill) {
   c.set_bool("saex.fault.enabled", true);
   c.set_int("saex.fault.killNode", 3);
   c.set("saex.fault.killTime", "20s");
+  EventBuffer events;
   SparkContext ctx(cluster, c);
+  ctx.event_log().attach(events);
   serve::JobServer server(ctx);
 
   serve::TraceOptions trace;
@@ -310,7 +323,7 @@ TEST(ServeFaults, ServerSurvivesAnExecutorKill) {
   EXPECT_EQ(report.executors_lost, 1);
   EXPECT_EQ(report.finished, report.started);  // every admitted job drained
   EXPECT_EQ(report.failed, 0);  // shuffle losses are all recoverable
-  EXPECT_EQ(ctx.event_log().of_kind(EventKind::kExecutorLost).size(), 1u);
+  EXPECT_EQ(events.of_kind(EventKind::kExecutorLost).size(), 1u);
   EXPECT_EQ(server.metrics().gauge("serve/fault/dead_executors").value(), 1.0);
 }
 

@@ -324,10 +324,13 @@ struct ServeRig {
           return s;
         }()),
         cluster(spec),
-        ctx(cluster, std::move(config)) {}
+        ctx(cluster, std::move(config)) {
+    ctx.event_log().attach(events);
+  }
 
   hw::ClusterSpec spec;
   hw::Cluster cluster;
+  engine::EventBuffer events;  // declared before ctx: outlives its log
   SparkContext ctx;
 };
 
@@ -350,7 +353,7 @@ JobServer::Builder tiny_job(int id) {
   };
 }
 
-int count_events(const engine::EventLog& log, EventKind kind) {
+int count_events(const engine::EventBuffer& log, EventKind kind) {
   int n = 0;
   for (const engine::Event& e : log.events()) {
     if (e.kind == kind) ++n;
@@ -375,8 +378,8 @@ TEST(ChaosChurn, KillAndRejoinRestoreClusterCapacity) {
   // The rejoin restored the node: nothing is dead at drain time.
   EXPECT_EQ(rig.ctx.scheduler().dead_executor_count(), 0);
   EXPECT_EQ(report.executors_lost, 0);
-  EXPECT_EQ(count_events(rig.ctx.event_log(), EventKind::kExecutorLost), 1);
-  EXPECT_EQ(count_events(rig.ctx.event_log(), EventKind::kExecutorRevived), 1);
+  EXPECT_EQ(count_events(rig.events, EventKind::kExecutorLost), 1);
+  EXPECT_EQ(count_events(rig.events, EventKind::kExecutorRevived), 1);
   EXPECT_EQ(report.finished, report.submitted);
 }
 
@@ -434,7 +437,7 @@ TEST(Deadlines, QueuedJobPastItsDeadlineIsShed) {
   EXPECT_TRUE(shed.failed);
   EXPECT_LT(shed.start_time, 0.0);  // never left the queue
   EXPECT_DOUBLE_EQ(shed.finish_time, shed.deadline);
-  EXPECT_EQ(count_events(rig.ctx.event_log(), EventKind::kJobShed), 1);
+  EXPECT_EQ(count_events(rig.events, EventKind::kJobShed), 1);
   // SLO: tracked but not met; job 0 had no deadline so it is not tracked.
   EXPECT_EQ(report.slo_tracked, 1);
   EXPECT_EQ(report.slo_met, 0);
@@ -454,7 +457,7 @@ TEST(Deadlines, RunningJobIsCancelledAtItsDeadline) {
   EXPECT_EQ(rec.outcome, JobOutcome::kCancelledDeadline);
   EXPECT_TRUE(rec.report.cancelled);
   EXPECT_GE(rec.finish_time, rec.deadline);  // running copies drain first
-  EXPECT_EQ(count_events(rig.ctx.event_log(), EventKind::kJobCancelled), 1);
+  EXPECT_EQ(count_events(rig.events, EventKind::kJobCancelled), 1);
   EXPECT_NE(report.render_jobs().find("cancelled"), std::string::npos);
 }
 
@@ -602,7 +605,7 @@ TEST(Retry, ExhaustedRetriesSettleAsFailedWithBackoffSpacing) {
   EXPECT_LT(rec.retry_times[0], rec.retry_times[1]);
   EXPECT_EQ(report.retries, 2);
   EXPECT_EQ(report.failed, 1);
-  EXPECT_EQ(count_events(rig.ctx.event_log(), EventKind::kJobRetried), 2);
+  EXPECT_EQ(count_events(rig.events, EventKind::kJobRetried), 2);
   EXPECT_NE(report.render_jobs().find("FAILED (r2)"), std::string::npos);
 }
 
@@ -666,9 +669,9 @@ TEST(Quarantine, FetchFailuresTripTheBreakerAndExcludeTheNode) {
 
   EXPECT_GT(report.quarantines, 0);
   EXPECT_EQ(report.quarantines,
-            count_events(rig.ctx.event_log(), EventKind::kNodeQuarantined));
+            count_events(rig.events, EventKind::kNodeQuarantined));
   EXPECT_EQ(report.probes,
-            count_events(rig.ctx.event_log(), EventKind::kNodeReinstated));
+            count_events(rig.events, EventKind::kNodeReinstated));
   EXPECT_GE(report.probes, 1);  // cooldown elapsed at least once
   // Every job still finished: quarantine sheds load, it does not lose work.
   EXPECT_EQ(report.finished, report.submitted);

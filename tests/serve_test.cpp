@@ -30,10 +30,13 @@ struct ServeRig {
           return s;
         }()),
         cluster(spec),
-        ctx(cluster, std::move(config)) {}
+        ctx(cluster, std::move(config)) {
+    ctx.event_log().attach(events);
+  }
 
   hw::ClusterSpec spec;
   hw::Cluster cluster;
+  engine::EventBuffer events;  // declared before ctx: outlives its log
   SparkContext ctx;
 };
 
@@ -119,9 +122,9 @@ TEST(JobServer, AdmissionQueueAndBackpressure) {
   EXPECT_GT(report.jobs[1].start_time, report.jobs[0].start_time);
   EXPECT_GE(report.jobs[1].queue_wait(), report.jobs[0].queue_wait());
   // Admission decisions land in the event log.
-  EXPECT_EQ(rig.ctx.event_log().of_kind(engine::EventKind::kJobRejected).size(),
+  EXPECT_EQ(rig.events.of_kind(engine::EventKind::kJobRejected).size(),
             1u);
-  EXPECT_EQ(rig.ctx.event_log().of_kind(engine::EventKind::kJobDequeued).size(),
+  EXPECT_EQ(rig.events.of_kind(engine::EventKind::kJobDequeued).size(),
             1u);
 }
 
@@ -297,7 +300,7 @@ TEST(JobServer, DynamicAllocationGrowsAndShrinks) {
   // Released executors stop receiving offers; the floor holds.
   EXPECT_GE(rig.ctx.scheduler().active_executor_count(), 1);
   const auto granted =
-      rig.ctx.event_log().of_kind(engine::EventKind::kExecutorGranted);
+      rig.events.of_kind(engine::EventKind::kExecutorGranted);
   EXPECT_EQ(static_cast<int>(granted.size()), report.executors_granted);
 }
 

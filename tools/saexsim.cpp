@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -468,6 +469,64 @@ struct RunResult {
   std::string text;  // rendered report + file-write notices
 };
 
+// The --eventlog / --trace files of one run. Both are opened and attached
+// before the run, so an unwritable path fails before anything is simulated,
+// and events stream to disk as they are recorded.
+class EventFiles {
+ public:
+  /// Empty paths are skipped. Returns an error message, or "" on success.
+  std::string open(engine::EventLog& log, const std::string& eventlog_path,
+                   const std::string& trace_path) {
+    if (!eventlog_path.empty()) {
+      eventlog_file_.open(eventlog_path, std::ios::binary | std::ios::trunc);
+      if (!eventlog_file_) {
+        return strfmt::format("cannot open event log {}", eventlog_path);
+      }
+      eventlog_path_ = eventlog_path;
+      eventlog_.emplace(eventlog_file_);
+      log.attach(*eventlog_);
+    }
+    if (!trace_path.empty()) {
+      trace_file_.open(trace_path, std::ios::binary | std::ios::trunc);
+      if (!trace_file_) {
+        return strfmt::format("cannot open chrome trace {}", trace_path);
+      }
+      trace_path_ = trace_path;
+      trace_.emplace(trace_file_);
+      log.attach(*trace_);
+    }
+    return "";
+  }
+
+  /// Flushes both files and returns one "wrote"/"FAILED to write" notice per
+  /// file. The files stay attached: call this after the run.
+  std::string finish() {
+    std::string out;
+    if (eventlog_) {
+      eventlog_file_.flush();
+      out += strfmt::format("{} event log -> {}\n",
+                            eventlog_file_ ? "wrote" : "FAILED to write",
+                            eventlog_path_);
+    }
+    if (trace_) {
+      trace_->close();
+      trace_file_.flush();
+      out += strfmt::format(
+          "{} chrome trace -> {} (open in chrome://tracing)\n",
+          trace_file_ ? "wrote" : "FAILED to write", trace_path_);
+    }
+    return out;
+  }
+
+ private:
+  std::string eventlog_path_;
+  std::string trace_path_;
+  std::ofstream eventlog_file_;
+  std::ofstream trace_file_;
+  std::optional<engine::JsonLinesSink> eventlog_;
+  std::optional<engine::ChromeTraceSink> trace_;
+};
+
 // One full simulation, rendered into a string so sweep runs can execute on
 // harness worker threads and still print in deterministic order.
 RunResult simulate_once(const Args& args, const workloads::WorkloadSpec& spec,
@@ -483,7 +542,15 @@ RunResult simulate_once(const Args& args, const workloads::WorkloadSpec& spec,
   config.set_int("saex.static.ioThreads", io_threads);
 
   RunResult res;
+  EventFiles files;
   engine::SparkContext ctx(cluster, std::move(config));
+  if (const std::string error =
+          files.open(ctx.event_log(), eventlog_path, trace_path);
+      !error.empty()) {
+    res.text = error + "\n";
+    res.rc = 2;
+    return res;
+  }
   engine::JobReport report;
   bool first = true;
   for (const engine::Rdd& action : spec.build(ctx)) {
@@ -510,20 +577,7 @@ RunResult simulate_once(const Args& args, const workloads::WorkloadSpec& spec,
   }
   report.input_bytes = spec.input_size;
   res.text += report.render() + "\n";
-
-  if (!eventlog_path.empty()) {
-    const bool ok = engine::EventLog::write_file(
-        eventlog_path, ctx.event_log().to_json_lines());
-    res.text += strfmt::format("{} event log -> {}\n",
-                               ok ? "wrote" : "FAILED to write", eventlog_path);
-  }
-  if (!trace_path.empty()) {
-    const bool ok = engine::EventLog::write_file(
-        trace_path, ctx.event_log().to_chrome_trace());
-    res.text += strfmt::format(
-        "{} chrome trace -> {} (open in chrome://tracing)\n",
-        ok ? "wrote" : "FAILED to write", trace_path);
-  }
+  res.text += files.finish();
   return res;
 }
 
@@ -573,31 +627,28 @@ int run_serve_sharded(const Args& args, const hw::ClusterSpec& cs,
   config.set("saex.shard.placement", args.placement);
   config.set("saex.shard.window", strfmt::format("{}", args.shard_window));
 
+  std::vector<std::unique_ptr<EventFiles>> files;  // outlive the contexts
   shard::ShardedServer server(cs, config);
+  const int shards = server.topology().shards();
+  for (int s = 0; s < shards; ++s) {
+    const std::string suffix = shards > 1 ? strfmt::format(".{}", s) : "";
+    auto& f = files.emplace_back(std::make_unique<EventFiles>());
+    const std::string error = f->open(
+        server.context(s).event_log(),
+        args.eventlog_path.empty() ? "" : args.eventlog_path + suffix,
+        args.trace_path.empty() ? "" : args.trace_path + suffix);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 2;
+    }
+  }
   const shard::ShardedServeReport report =
       server.replay(serve::make_trace(trace_options), trace_options);
 
   std::printf("%s\n", report.render().c_str());
   if (args.jobs_table) std::printf("\n%s\n", report.render_jobs().c_str());
 
-  for (int s = 0; s < server.topology().shards(); ++s) {
-    const std::string suffix =
-        server.topology().shards() > 1 ? strfmt::format(".{}", s) : "";
-    if (!args.eventlog_path.empty()) {
-      const std::string path = args.eventlog_path + suffix;
-      const bool ok = engine::EventLog::write_file(
-          path, server.context(s).event_log().to_json_lines());
-      std::printf("%s event log -> %s\n", ok ? "wrote" : "FAILED to write",
-                  path.c_str());
-    }
-    if (!args.trace_path.empty()) {
-      const std::string path = args.trace_path + suffix;
-      const bool ok = engine::EventLog::write_file(
-          path, server.context(s).event_log().to_chrome_trace());
-      std::printf("%s chrome trace -> %s (open in chrome://tracing)\n",
-                  ok ? "wrote" : "FAILED to write", path.c_str());
-    }
-  }
+  for (const auto& f : files) std::fputs(f->finish().c_str(), stdout);
   return 0;
 }
 
@@ -651,26 +702,21 @@ int run_serve(const Args& args) {
     }
 
     hw::Cluster cluster(cs);
+    EventFiles files;
     engine::SparkContext ctx(cluster, std::move(config));
+    if (const std::string error = files.open(
+            ctx.event_log(), args.eventlog_path, args.trace_path);
+        !error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 2;
+    }
     serve::JobServer server(ctx);
     const serve::ServeReport report =
         server.replay(serve::make_trace(trace_options), trace_options);
 
     std::printf("%s\n", report.render().c_str());
     if (args.jobs_table) std::printf("\n%s\n", report.render_jobs().c_str());
-
-    if (!args.eventlog_path.empty()) {
-      const bool ok = engine::EventLog::write_file(
-          args.eventlog_path, ctx.event_log().to_json_lines());
-      std::printf("%s event log -> %s\n", ok ? "wrote" : "FAILED to write",
-                  args.eventlog_path.c_str());
-    }
-    if (!args.trace_path.empty()) {
-      const bool ok = engine::EventLog::write_file(
-          args.trace_path, ctx.event_log().to_chrome_trace());
-      std::printf("%s chrome trace -> %s (open in chrome://tracing)\n",
-                  ok ? "wrote" : "FAILED to write", args.trace_path.c_str());
-    }
+    std::fputs(files.finish().c_str(), stdout);
   } catch (const conf::ConfigError& e) {
     std::fprintf(stderr, "invalid serve configuration: %s\n", e.what());
     return 2;
