@@ -11,6 +11,7 @@ int main() {
       "2 threads is drastically worse (paper Fig. 4: default best for both; "
       "2 threads ≈ 2.3x default for Aggregation, ≈ 4.5x for Join)");
 
+  bool all_ok = true;
   for (const auto& spec : {workloads::aggregation(), workloads::join()}) {
     auto sweep = static_sweep(spec);
     const double def = sweep.at(32).total_runtime;
@@ -29,6 +30,7 @@ int main() {
     std::printf("%s", t.render().c_str());
     std::printf("shape (default best, worsening monotonically): %s\n",
                 monotone ? "OK" : "VIOLATED");
+    all_ok = all_ok && monotone;
   }
-  return 0;
+  return all_ok ? 0 : 1;
 }

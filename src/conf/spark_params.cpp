@@ -450,10 +450,6 @@ void define_adaptive_extension(Registry& r) {
   r.define({"saex.shard.placement", c, V::kString, "hash",
             "Cross-shard job router: hash (by client id) | least (greedy "
             "least-estimated-load in arrival order) | rr (round-robin)."});
-  r.define({"saex.shard.window", c, V::kDurationSeconds, "0s",
-            "Conservative synchronization lookahead override; 0 derives it "
-            "from the minimum cross-shard network latency (with no "
-            "cross-shard channels, shards run to completion independently)."});
   r.define({"saex.aqe.enabled", c, V::kBool, "false",
             "Adaptive query execution (src/aqe/): re-plan shuffle consumer "
             "stages at submission from actual map-output statistics "

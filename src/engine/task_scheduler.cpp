@@ -357,18 +357,6 @@ void TaskScheduler::schedule_speculation_check() {
   });
 }
 
-int TaskScheduler::blacklisted_executors() const noexcept {
-  std::vector<bool> blacklisted(execs_.size(), false);
-  for (const auto& set : sets_) {
-    for (size_t e = 0; e < execs_.size(); ++e) {
-      if (set->exec_blacklisted[e]) blacklisted[e] = true;
-    }
-  }
-  int n = 0;
-  for (const bool b : blacklisted) n += b ? 1 : 0;
-  return n;
-}
-
 const std::vector<TaskScheduler::TaskSet*>& TaskScheduler::offer_order() {
   std::vector<TaskSet*>& order = offer_scratch_;
   order.clear();
@@ -423,33 +411,41 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
   // (spark.locality.wait) expires; preference-free tasks are always fair
   // game. Finally, a speculative duplicate of a straggler.
   const int node_id = execs_[exec_idx].exec->node_id();
-  const bool wait_over =
-      sim_.now() - set.result.submit_time >= options_.locality_wait;
-  std::optional<size_t> any;
-  bool deferred = false;
-  // `pending` holds exactly the indices with !done && running_copies == 0,
-  // in ascending order — the same visit order as the full scan it replaces.
-  for (const int32_t idx : set.pending) {
-    const size_t i = static_cast<size_t>(idx);
-    const auto& pref = set.tasks[i].preferred_nodes;
-    if (pref.empty()) {
-      if (!any) any = i;
-      continue;
-    }
-    if (std::find(pref.begin(), pref.end(), node_id) != pref.end()) return i;
-    if (wait_over) {
-      if (!any) any = i;
-    } else {
-      deferred = true;
+  const bool wait_over = set_wait_over(set);
+  bool walk = !set.pending.empty();
+  if (walk && set.pref_free_pending == 0 && !wait_over) {
+    // Every pending task prefers particular nodes. If none prefers this one,
+    // the walk below would match nothing and defer.
+    const std::vector<int>& nodes = pref_union(set);
+    if (!std::binary_search(nodes.begin(), nodes.end(), node_id)) {
+      arm_locality_timer(set);
+      walk = false;
     }
   }
-  if (!any && deferred) arm_locality_timer(set);
-  if (any) return any;
+  if (walk) {
+    std::optional<size_t> any;
+    bool deferred = false;
+    // `pending` holds exactly the indices with !done && running_copies == 0,
+    // in ascending order.
+    for (const int32_t idx : set.pending) {
+      const size_t i = static_cast<size_t>(idx);
+      const auto& pref = set.tasks[i].preferred_nodes;
+      if (pref.empty()) {
+        if (!any) any = i;
+        continue;
+      }
+      if (std::find(pref.begin(), pref.end(), node_id) != pref.end()) return i;
+      if (wait_over) {
+        if (!any) any = i;
+      } else {
+        deferred = true;
+      }
+    }
+    if (!any && deferred) arm_locality_timer(set);
+    if (any) return any;
+  }
 
-  if (options_.speculation &&
-      set.result.durations.size() >=
-          options_.speculation_quantile *
-              static_cast<double>(set.tasks.size())) {
+  if (speculatable(set)) {
     const double median = percentile(set.result.durations, 0.5);
     const double now = sim_.now();
     for (size_t i = 0; i < set.tasks.size(); ++i) {
@@ -469,32 +465,63 @@ std::optional<size_t> TaskScheduler::pick_task_for(TaskSet& set,
   return std::nullopt;
 }
 
+bool TaskScheduler::speculatable(const TaskSet& set) const noexcept {
+  return options_.speculation &&
+         static_cast<double>(set.result.durations.size()) >=
+             options_.speculation_quantile *
+                 static_cast<double>(set.tasks.size());
+}
+
+// One absolute instant, compared and armed the same way everywhere: a
+// relative test (`now - submit >= wait`) can stay false by one ulp at the
+// very instant a timer armed for `submit + wait` fires, re-arming it forever.
+double TaskScheduler::locality_deadline(const TaskSet& set) const noexcept {
+  return set.result.submit_time + options_.locality_wait;
+}
+
+bool TaskScheduler::set_wait_over(const TaskSet& set) const noexcept {
+  return sim_.now() >= locality_deadline(set);
+}
+
 // Re-offer once the locality window closes, or nothing would wake us.
 void TaskScheduler::arm_locality_timer(TaskSet& set) {
   if (set.locality_timer_armed) return;
   set.locality_timer_armed = true;
-  const double remaining =
-      set.result.submit_time + options_.locality_wait - sim_.now();
   const uint64_t set_id = set.id;
-  sim_.schedule_after(std::max(remaining, 0.0), [this, set_id] {
+  sim_.schedule_at(locality_deadline(set), [this, set_id] {
     if (TaskSet* s = find_set(set_id)) s->locality_timer_armed = false;
     try_assign();
   });
 }
 
-bool TaskScheduler::set_wait_over(const TaskSet& set) const noexcept {
-  return sim_.now() - set.result.submit_time >= options_.locality_wait;
+// True while an offer pass could dispatch anything: some task is pending,
+// or some set may hand out a speculative copy of a running one.
+bool TaskScheduler::can_offer() const noexcept {
+  if (pending_total_ > 0) return true;
+  if (!options_.speculation) return false;
+  for (const auto& set : sets_) {
+    if (!set->held && speculatable(*set)) return true;
+  }
+  return false;
 }
 
-// True when some offerable set could hand a task to an *arbitrary* free
-// executor: it has a preference-free pending task, or its delay-scheduling
-// window expired so preferring tasks may be stolen. Both only decrease
-// within one try_assign call (no events fire mid-call), so a false answer
-// stays false until the call returns.
-bool TaskScheduler::any_generic_set() const noexcept {
+// True unless every offerable set is deferred: all its pending tasks prefer
+// particular nodes and still wait out the delay-scheduling window. Then an
+// executor those tasks do not prefer can only arm the sets' re-offer timers,
+// so the pass visits candidate executors only. A set that may hand out a
+// speculative copy, or that blacklists some executor (which then skips it
+// without arming), needs every free executor's own walk. Each condition only
+// turns false within one try_assign call (no events fire mid-call), so a
+// false answer stays false until the call returns.
+bool TaskScheduler::offer_to_all() const noexcept {
   for (const auto& set : sets_) {
-    if (set->held || set->pending.empty()) continue;
-    if (set->pref_free_pending > 0 || set_wait_over(*set)) return true;
+    if (set->held) continue;
+    if (speculatable(*set)) return true;
+    if (set->pending.empty()) continue;
+    if (set->pref_free_pending > 0 || set->blacklisted_execs > 0 ||
+        set_wait_over(*set)) {
+      return true;
+    }
   }
   return false;
 }
@@ -532,14 +559,14 @@ const std::vector<int>& TaskScheduler::pref_union(TaskSet& set) {
   return set.pref_nodes;
 }
 
-// Executors that some deferred set's pending tasks prefer — with no generic
-// set in flight these are the only executors an offer pass can dispatch to.
+// Executors that some deferred set's pending tasks prefer — when
+// offer_to_all() is false these are the only executors an offer pass can
+// dispatch to.
 void TaskScheduler::build_candidates() {
   cand_scratch_.clear();
   for (const auto& up : sets_) {
     TaskSet& set = *up;
     if (set.held || set.pending.empty()) continue;
-    if (set.pref_free_pending > 0 || set_wait_over(set)) continue;
     for (const int node : pref_union(set)) {
       if (const int e = exec_index_of(node); e >= 0) {
         cand_scratch_.push_back(static_cast<size_t>(e));
@@ -552,112 +579,58 @@ void TaskScheduler::build_candidates() {
       cand_scratch_.end());
 }
 
-// What a fruitless pass of the exhaustive scan does as a side effect: every
-// offerable set whose pending tasks are all waiting out the delay-scheduling
-// window gets its re-offer timer armed (idempotently), in offer order so
-// event creation order matches the scan's failed picks.
+// What a free non-candidate executor's walk does when offer_to_all() is
+// false: every deferred set it passes gets its re-offer timer armed
+// (idempotently), in offer order.
 void TaskScheduler::arm_deferred_timers() {
-  // Cheap order-free pre-check so the per-event common case (nothing
-  // deferred) never pays for an offer_order() sort.
+  // Cheap order-free pre-check so the common case (every deferred set
+  // already armed) never pays for an offer_order() sort.
   bool any = false;
   for (const auto& set : sets_) {
-    if (set->held || set->pending.empty() || set->locality_timer_armed) {
-      continue;
+    if (!set->held && !set->pending.empty() && !set->locality_timer_armed) {
+      any = true;
+      break;
     }
-    if (set->pref_free_pending > 0 || set_wait_over(*set)) continue;
-    any = true;
-    break;
   }
   if (!any) return;
-  for (TaskSet* set_ptr : offer_order()) {
-    TaskSet& set = *set_ptr;
-    if (set.held || set.pending.empty() || set.locality_timer_armed) continue;
-    if (set.pref_free_pending > 0 || set_wait_over(set)) continue;
-    arm_locality_timer(set);
+  for (TaskSet* set : offer_order()) {
+    if (!set->held && !set->pending.empty()) arm_locality_timer(*set);
   }
 }
 
 // Offers executor `exec_idx` one slot: walks sets in FIFO/FAIR order and
-// dispatches from the first that has a task for it. Mirrors one iteration of
-// the exhaustive scan's executor loop, including its side effects: deferred
-// sets passed on the way are armed exactly where their failed pick would be.
+// dispatches from the first that has a task for it, skipping held sets and
+// sets that blacklist the executor.
 bool TaskScheduler::offer_to(size_t exec_idx) {
-  const int node_id = execs_[exec_idx].exec->node_id();
-  for (TaskSet* set_ptr : offer_order()) {
-    TaskSet& set = *set_ptr;
-    if (set.held) continue;
-    if (set.pending.empty()) continue;  // a pick would fail with no effects
-    const bool generic = set.pref_free_pending > 0 || set_wait_over(set);
-    if (!generic) {
-      const std::vector<int>& pref = pref_union(set);
-      if (!std::binary_search(pref.begin(), pref.end(), node_id)) {
-        // pick_task_for would walk the pending list, match nothing, and
-        // defer — its only side effect being this timer.
-        arm_locality_timer(set);
-        continue;
-      }
-    }
-    if (const auto task = pick_task_for(set, exec_idx)) {
-      dispatch(set, *task, exec_idx, set.state[*task].running_copies > 0);
+  for (TaskSet* set : offer_order()) {
+    if (set->held || set->exec_blacklisted[exec_idx]) continue;
+    if (const auto task = pick_task_for(*set, exec_idx)) {
+      dispatch(*set, *task, exec_idx, set->state[*task].running_copies > 0);
       return true;
     }
-    // pref_nodes over-approximated (the preferring task dispatched earlier
-    // in this call); the failed pick armed the timer itself. Keep walking.
   }
   return false;
 }
 
+// Repeated passes until one dispatches nothing; each pass offers every
+// executor with a free slot (free_bits_) at most one task, in ascending
+// index order. O(dispatches), not O(executors x sets), while only deferred
+// sets are in flight.
 void TaskScheduler::try_assign() {
   SAEX_PROF_SCOPE(kScheduler);
-  if (sets_.empty()) return;
-  if (options_.speculation || options_.blacklist_enabled) {
-    try_assign_scan();
-  } else {
-    try_assign_fast();
-  }
-}
-
-void TaskScheduler::try_assign_scan() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t e = 0; e < execs_.size(); ++e) {
-      ExecState& es = execs_[e];
-      if (!es.active || es.quarantined || es.assigned >= es.advertised) continue;
-      // Offer the slot to task sets in FIFO/FAIR order; the order is
-      // recomputed after every dispatch since running counts moved.
-      for (TaskSet* set_ptr : offer_order()) {
-        TaskSet& set = *set_ptr;
-        if (set.held || set.exec_blacklisted[e]) continue;
-        const auto task = pick_task_for(set, e);
-        if (!task) continue;
-        dispatch(set, *task, e, set.state[*task].running_copies > 0);
-        progress = true;
-        break;
-      }
-    }
-  }
-}
-
-void TaskScheduler::try_assign_fast() {
-  // Nothing pending means no dispatch AND no deferred set to arm: the whole
-  // offer pass is a no-op. This is the per-task-completion common case on a
-  // large, underloaded cluster.
-  if (pending_total_ == 0) return;
+  // The per-task-completion common case on a large, underloaded cluster:
+  // nothing to dispatch and no deferred set to arm.
+  if (!can_offer()) return;
   ++offer_epoch_;
   const size_t n = execs_.size();
   bool progress = true;
-  while (progress) {
+  while (progress && can_offer()) {
     progress = false;
-    if (pending_total_ == 0) break;
-    // One pass: each executor with a free slot is offered at most one task,
-    // in ascending index order — the scan's visit order restricted to the
-    // executors that can actually receive something.
     bool cand_only = false;
     size_t cand_pos = 0;
     size_t e = 0;
-    while (pending_total_ > 0) {
-      if (!cand_only && !any_generic_set()) {
+    while (can_offer()) {
+      if (!cand_only && !offer_to_all()) {
         build_candidates();
         cand_only = true;
         cand_pos = 0;
@@ -674,10 +647,9 @@ void TaskScheduler::try_assign_fast() {
             break;
           }
         }
-        // A free non-candidate executor ahead of the next candidate would
-        // walk every set without dispatching; its only effect is arming the
-        // deferred timers, which must land *before* the candidate's dispatch
-        // to keep the event sequence identical to the scan.
+        // Free non-candidate executors ahead of the next candidate walk the
+        // sets without dispatching; their timers must be armed *before* the
+        // candidate's dispatch.
         if (next_free_exec(e) < c) arm_deferred_timers();
         if (c >= n) break;
         next = c;
@@ -689,10 +661,6 @@ void TaskScheduler::try_assign_fast() {
       e = next + 1;
     }
   }
-  // The scan's final no-progress pass arms the deferred timers of sets its
-  // failed picks reach — but only if some free executor exists to do the
-  // walking.
-  if (next_free_exec(0) < n) arm_deferred_timers();
 }
 
 void TaskScheduler::dispatch(TaskSet& set, size_t task_idx, size_t exec_idx,
@@ -849,6 +817,7 @@ void TaskScheduler::on_task_finished(uint64_t set_id, const TaskSpec& spec,
              !set.exec_blacklisted[exec_idx] &&
              st.attempts < options_.max_task_failures) {
     set.exec_blacklisted[exec_idx] = true;
+    ++set.blacklisted_execs;
     SAEX_WARN("executor {} blacklisted for stage {} after {} failures",
               es.exec->node_id(), set.stage.ordinal,
               set.exec_failures[exec_idx]);

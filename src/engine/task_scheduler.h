@@ -232,8 +232,6 @@ class TaskScheduler {
   /// True when the last run_stage() ended because a task ran out of attempts.
   bool stage_failed() const noexcept { return stage_failed_; }
   int speculative_launches() const noexcept { return speculative_launches_; }
-  /// Executors currently blacklisted for any in-flight task set.
-  int blacklisted_executors() const noexcept;
   /// Successful task durations of the last finished (or a current) set.
   const std::vector<double>& completed_durations() const noexcept {
     return completed_durations_;
@@ -285,7 +283,7 @@ class TaskScheduler {
     size_t remaining = 0;
     int running = 0;  // dispatched copies (incl. in-flight launch messages)
     // Pending tasks with no locality preference — an O(1) "could any free
-    // executor take a task from this set" test for the offer fast path.
+    // executor take a task from this set" test for the offer loop.
     int pref_free_pending = 0;
     // Union of preferred nodes over pending tasks (ascending, deduped),
     // built lazily once per try_assign (stamped with the offer epoch). It
@@ -301,6 +299,7 @@ class TaskScheduler {
     // Per-set blacklisting (spark.blacklist.stage.*), indexed by executor.
     std::vector<int> exec_failures;
     std::vector<bool> exec_blacklisted;
+    int blacklisted_execs = 0;  // set entries of exec_blacklisted
 
     size_t state_index(int partition) const noexcept {
       return static_cast<size_t>(task_index[static_cast<size_t>(partition)]);
@@ -311,19 +310,16 @@ class TaskScheduler {
   /// In-flight task sets in slot-offer order under the current scheduling
   /// mode; valid until the next submit/finish/erase.
   const std::vector<TaskSet*>& offer_order();
+  // The offer loop: passes over the executors with a free slot until one
+  // dispatches nothing (see the definition for when only candidate executors
+  // are visited).
   void try_assign();
-  // Exhaustive offer loop: every executor x every set. Kept for modes whose
-  // eligibility is executor-specific (speculation copy placement, per-set
-  // blacklists); also the semantic reference for try_assign_fast.
-  void try_assign_scan();
-  // Sparse offer loop producing the identical dispatch and event sequence:
-  // only executors with free slots are visited (free_bits_), and only when
-  // some set could actually hand them a task (pref_free_pending / locality
-  // candidates). O(dispatches), not O(executors x sets).
-  void try_assign_fast();
   bool offer_to(size_t exec_idx);
+  bool can_offer() const noexcept;
+  bool offer_to_all() const noexcept;
+  bool speculatable(const TaskSet& set) const noexcept;
+  double locality_deadline(const TaskSet& set) const noexcept;
   bool set_wait_over(const TaskSet& set) const noexcept;
-  bool any_generic_set() const noexcept;
   void build_candidates();
   const std::vector<int>& pref_union(TaskSet& set);
   void arm_locality_timer(TaskSet& set);

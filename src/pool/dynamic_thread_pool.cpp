@@ -23,8 +23,8 @@ DynamicThreadPool::DynamicThreadPool(int initial_size) {
 
 DynamicThreadPool::~DynamicThreadPool() { shutdown(); }
 
-void DynamicThreadPool::spawn_locked(std::unique_lock<std::mutex>& lock,
-                                     int count) {
+void DynamicThreadPool::spawn_locked(
+    [[maybe_unused]] std::unique_lock<std::mutex>& lock, int count) {
   assert(lock.owns_lock());
   for (int i = 0; i < count; ++i) {
     const uint64_t id = next_worker_id_++;

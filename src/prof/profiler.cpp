@@ -65,7 +65,6 @@ const char* subsystem_name(Subsystem s) noexcept {
     case Subsystem::kNetwork: return "hw/network";
     case Subsystem::kScheduler: return "engine/scheduler";
     case Subsystem::kShuffle: return "engine/shuffle";
-    case Subsystem::kDfs: return "dfs";
     case Subsystem::kAdaptive: return "adaptive";
     case Subsystem::kMetrics: return "metrics";
     case Subsystem::kStorage: return "storage";

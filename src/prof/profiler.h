@@ -28,7 +28,6 @@ enum class Subsystem : uint8_t {
   kNetwork,    // hw::Network flow model
   kScheduler,  // engine::TaskScheduler offer loop + status updates
   kShuffle,    // engine::ShuffleManager bookkeeping
-  kDfs,        // block placement and lookup
   kAdaptive,   // MAPE-K policy evaluation
   kMetrics,    // time-series recording
   kStorage,    // per-node BlockManager bookkeeping

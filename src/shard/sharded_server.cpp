@@ -1,8 +1,7 @@
 #include "shard/sharded_server.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "fault/fault.h"
+#include "harness/harness.h"
 
 namespace saex::shard {
 
@@ -88,11 +88,6 @@ conf::Config ShardedServer::shard_config(int shard) const {
   return config;
 }
 
-double ShardedServer::lookahead() const noexcept {
-  return options_.window > 0.0 ? options_.window
-                               : std::numeric_limits<double>::infinity();
-}
-
 ShardedServeReport ShardedServer::replay(
     const std::vector<serve::TraceJob>& trace,
     const serve::TraceOptions& trace_options) {
@@ -103,7 +98,6 @@ ShardedServeReport ShardedServer::replay(
   out.placement = router.route(trace);
   out.placement_policy = options_.placement;
   out.workers = options_.workers;
-  out.lookahead = lookahead();
 
   // Split the trace; jobs keep their global ids and arrival times.
   std::vector<std::vector<serve::TraceJob>> sub(
@@ -133,16 +127,20 @@ ShardedServeReport ShardedServer::replay(
     }
   }
 
-  // Advance all shard kernels to completion in conservative time windows.
-  TimeWindowRunner::Options ropts;
-  ropts.lookahead = out.lookahead;
-  ropts.workers = options_.workers;
-  std::vector<sim::Simulation*> sims;
-  sims.reserve(shards_.size());
-  for (Shard& shard : shards_) sims.push_back(&shard.cluster->sim());
-  const TimeWindowRunner::Result run = TimeWindowRunner::run(sims, ropts);
-  out.windows = run.windows;
-  out.events = run.events;
+  // Drain every shard kernel on saex.shard.workers threads. Shards share no
+  // mutable state, so the result is the same for any worker count.
+  std::vector<std::function<uint64_t()>> kernels;
+  kernels.reserve(shards_.size());
+  for (Shard& shard : shards_) {
+    kernels.push_back([sim = &shard.cluster->sim()] {
+      sim->run();
+      return sim->processed();
+    });
+  }
+  for (const uint64_t events :
+       harness::run_ordered(std::move(kernels), options_.workers)) {
+    out.events += events;
+  }
 
   // Per-shard reports (drain() on an empty kernel only aggregates).
   out.shards.reserve(shards_.size());
@@ -186,12 +184,9 @@ std::string ShardedServeReport::render() const {
   std::ostringstream out;
   out << merged.render() << "\n\n";
   out << strfmt::format(
-      "shards {}  workers {}  placement {}  lookahead {}  windows {}"
-      "  events {}\n",
+      "shards {}  workers {}  placement {}  events {}\n",
       static_cast<int>(shards.size()), workers, placement_policy,
-      std::isinf(lookahead) ? std::string("unbounded")
-                            : format_duration(lookahead),
-      windows, static_cast<int64_t>(events));
+      static_cast<int64_t>(events));
   TextTable table({"shard", "nodes", "jobs", "events"});
   for (const ShardStats& s : stats) {
     table.add_row({strfmt::format("{}", s.shard), strfmt::format("{}", s.nodes),

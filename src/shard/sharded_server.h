@@ -1,10 +1,12 @@
-// Sharded serve path: S independent driver/scheduler/kernel stacks behind one
-// job router, advanced together by the conservative time-window runner.
+// Sharded serve path: a partitioned cluster. S independent driver/scheduler/
+// kernel stacks sit behind one job router; each kernel drains on its own.
 //
 // Each shard owns a contiguous slice of the cluster (its own hw::Cluster,
 // sim::Simulation, SparkContext, and JobServer), seeded deterministically as
 // base seed + shard id. A trace job is routed whole onto one shard, runs
-// there exactly as it would on a stand-alone cluster of that size, and the
+// there exactly as it would on a stand-alone cluster of that size (so no
+// event ever crosses partitions and the kernels need no synchronization), and
+// the
 // per-shard records are merged back into one ServeReport in global trace-id
 // order using the same aggregation code as the serial path — so the merged
 // report of a 1-shard run is bitwise-identical to JobServer::replay, and an
@@ -25,7 +27,6 @@
 #include "hw/cluster.h"
 #include "serve/job_server.h"
 #include "shard/router.h"
-#include "shard/sync.h"
 #include "shard/topology.h"
 
 namespace saex::shard {
@@ -46,8 +47,6 @@ struct ShardedServeReport {
   std::vector<ShardStats> stats;
   std::vector<int> placement;  // trace job id -> shard
   std::string placement_policy;
-  double lookahead = 0.0;  // +inf = unbounded (no cross-shard channels)
-  int windows = 0;         // time-window rounds executed
   int workers = 0;
   uint64_t events = 0;     // total events across shard kernels
 
@@ -85,11 +84,6 @@ class ShardedServer {
 
   /// Per-shard config: global fault node ids -> local, parallelism scaled.
   conf::Config shard_config(int shard) const;
-  /// Lookahead for the window runner: the saex.shard.window override if set,
-  /// else unbounded (jobs never span shards, so no cross-shard channel can
-  /// carry an event; were one registered, spec_.network.latency would bound
-  /// the lookahead from below).
-  double lookahead() const noexcept;
 
   conf::Config config_;
   ShardOptions options_;

@@ -110,10 +110,4 @@ bool Simulation::run_until(Time limit) {
 
 bool Simulation::step() { return fire_next(); }
 
-Time Simulation::next_time() {
-  drop_cancelled_head();
-  return queue_.empty() ? std::numeric_limits<Time>::infinity()
-                        : queue_.top().t;
-}
-
 }  // namespace saex::sim

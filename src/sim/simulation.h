@@ -60,12 +60,6 @@ class Simulation {
   /// queue is empty.
   bool step();
 
-  /// Timestamp of the earliest pending event, or +infinity when the queue
-  /// is empty. Pops tombstoned (cancelled) entries sitting at the head, so
-  /// the answer reflects the next event that will actually fire. Used by the
-  /// shard layer to compute conservative time-window horizons.
-  Time next_time();
-
   size_t pending() const noexcept { return live_events_; }
   uint64_t processed() const noexcept { return processed_; }
   /// Total schedule_at/schedule_after calls, cancelled events included.

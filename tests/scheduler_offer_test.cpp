@@ -13,9 +13,12 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "common/format.h"
 #include "engine/context.h"
+#include "engine/task_scheduler.h"
 #include "serve/job_server.h"
 #include "serve/trace.h"
 #include "workloads/workloads.h"
@@ -317,6 +320,184 @@ TEST(OfferOracle, FairServeWithSpeculation) {
   const ServeRun run = run_serve(c, trace_options(23, 12));
   EXPECT_GT(run.speculative, 0);
   EXPECT_EQ(run.digest, "8806b7e5ac097c96");
+}
+
+// ---------- delay scheduling: one absolute locality deadline ----------
+
+// About ten times what the larger repro below needs to drain.
+constexpr uint64_t kStallEventCap = 2'000'000;
+
+// Runs the kernel until it is empty, but at most `max_events` events: a
+// livelock at one simulated instant never leaves Simulation::run_until
+// either, so the cap is on events, not on time. True if it drained.
+bool drain_capped(sim::Simulation& sim, uint64_t max_events) {
+  for (uint64_t n = 0; n < max_events; ++n) {
+    if (!sim.step()) return true;
+  }
+  return sim.pending() == 0;
+}
+
+// A set submitted at 0x1.ce2526405862ap+0 with a 3 s locality wait: at its
+// deadline fl(submit + 3) the relative test `now - submit >= 3` is false by
+// one ulp. The re-offer timer fires exactly at the deadline, where the set
+// must count as waited out and let a non-preferred executor steal its task.
+TEST(LocalityDeadline, ReofferAtTheDeadlineStealsTheTask) {
+  constexpr double kSubmit = 0x1.ce2526405862ap+0;
+  constexpr double kWait = 3.0;
+  ASSERT_LT((kSubmit + kWait) - kSubmit, kWait);  // the ulp case
+
+  hw::Cluster cluster(hw::ClusterSpec::das5(2));
+  conf::Config c;
+  c.set("spark.locality.wait", "3s");
+  SparkContext ctx(cluster, c);
+  engine::TaskScheduler& sched = ctx.scheduler();
+  sched.set_executor_active(1, false);  // the preferred node takes no offers
+
+  engine::Stage stage;
+  stage.uid = 1;
+  stage.name = "ulp";
+  stage.num_tasks = 1;
+  engine::TaskSpec task;
+  task.stage_uid = 1;
+  task.cpu_seconds = 0.5;
+  task.preferred_nodes = {1};
+  bool done = false;
+  engine::TaskScheduler::TaskSetResult result;
+  cluster.sim().schedule_at(kSubmit, [&] {
+    sched.submit_stage(stage, {task}, /*job_id=*/0, "default",
+                       [&](const engine::TaskScheduler::TaskSetResult& r) {
+                         result = r;
+                         done = true;
+                       });
+  });
+
+  ASSERT_TRUE(drain_capped(cluster.sim(), 100000));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(result.failed);
+  EXPECT_EQ(result.submit_time, kSubmit);
+  EXPECT_EQ(result.first_launch_time, kSubmit + kWait);
+}
+
+// Schedules every trace submission on `server`, as JobServer::replay does,
+// without draining.
+void schedule_trace(serve::JobServer& server, SparkContext& ctx,
+                    const std::vector<serve::TraceJob>& trace,
+                    const serve::TraceOptions& options) {
+  serve::load_trace_inputs(ctx, options);
+  for (const serve::TraceJob& job : trace) {
+    ctx.cluster().sim().schedule_at(job.arrival_time, [&server, job] {
+      server.submit(strfmt::format("{}#{}", job.workload, job.id), job.client,
+                    job.pool,
+                    [job](SparkContext& cx) {
+                      return serve::build_trace_job(cx, job);
+                    },
+                    job.deadline);
+    });
+  }
+}
+
+int unsettled(const serve::ServeReport& report) {
+  int n = 0;
+  for (const serve::JobRecord& rec : report.jobs) {
+    if (serve::admitted(rec.admission) &&
+        rec.outcome == serve::JobOutcome::kNone) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// `saexsim serve --jobs 2 --nodes 16 --dynalloc` with saexsim's defaults
+// (perfbench's stall_dynalloc): this clock stopped at a locality deadline.
+TEST(LocalityDeadline, DynamicAllocationServeDrains) {
+  serve::TraceOptions t;
+  t.num_jobs = 2;
+  t.mean_interarrival = 3.0;
+  t.seed = 42;
+  hw::ClusterSpec cs = hw::ClusterSpec::das5(16);
+  cs.seed = 42;
+  conf::Config c;
+  c.set("saex.executor.policy", "dynamic");
+  c.set_int("spark.default.parallelism", 16 * 32);
+  c.set("saex.scheduler.mode", "FAIR");
+  c.set("saex.scheduler.pools", "interactive:3:16,batch:1:0");
+  c.set_bool("spark.dynamicAllocation.enabled", true);
+  c.set_int("spark.dynamicAllocation.minExecutors", 1);
+  c.set_int("spark.dynamicAllocation.initialExecutors", 1);
+  c.set("spark.dynamicAllocation.executorIdleTimeout", "10s");
+  hw::Cluster cluster(cs);
+  SparkContext ctx(cluster, c);
+  serve::JobServer server(ctx);
+  schedule_trace(server, ctx, serve::make_trace(t), t);
+
+  ASSERT_TRUE(drain_capped(cluster.sim(), kStallEventCap));
+  const serve::ServeReport report = server.drain();
+  EXPECT_EQ(report.submitted, 2);
+  EXPECT_EQ(report.finished, 2);
+  EXPECT_EQ(unsettled(report), 0);
+}
+
+// Partition 0 of perfbench's stall_churn_waves, run on its own: the first
+// 400 jobs of the seed-41 churn trace routed round-robin over 4 partitions
+// of a 32-node cluster, with the kill/rejoin wave on nodes 0, 2 and 3
+// repeated every 240 s, node-1 fetch drops, retries, quarantine and AQE.
+// This clock stopped at t=1024.355 s.
+TEST(LocalityDeadline, RepeatedChurnWavesDrain) {
+  serve::TraceOptions t;
+  t.num_jobs = 400;
+  t.mean_interarrival = 3.0;
+  t.num_clients = 8;
+  t.seed = 41;
+  t.small_input = mib(256);
+  t.big_input = mib(512);
+  t.dim_input = mib(128);
+  t.interactive_deadline = 45.0;
+  t.batch_deadline = 600.0;
+  const std::vector<serve::TraceJob> trace = serve::make_trace(t);
+  std::vector<serve::TraceJob> partition0;
+  for (const serve::TraceJob& job : trace) {
+    if (job.id % 4 == 0) partition0.push_back(job);
+  }
+  std::string chaos;
+  const int waves = static_cast<int>(trace.back().arrival_time / 240.0) + 1;
+  for (int w = 0; w < waves; ++w) {
+    for (const auto& [kind, node, at] :
+         {std::tuple{"kill", 2, 20}, {"rejoin", 2, 50}, {"kill", 3, 60},
+          {"rejoin", 3, 90}, {"kill", 2, 120}, {"rejoin", 2, 150},
+          {"kill", 0, 180}, {"rejoin", 0, 210}}) {
+      if (!chaos.empty()) chaos += ",";
+      chaos += strfmt::format("{}:{}@{}", kind, node, 240.0 * w + at);
+    }
+  }
+  conf::Config c;
+  c.set_int("spark.default.parallelism", 16);  // 64 scaled to 8 of 32 nodes
+  c.set_int("saex.serve.maxConcurrentJobs", 16);
+  c.set_int("saex.serve.maxQueuedJobs", 1 << 20);
+  c.set_bool("saex.eventLog.enabled", false);
+  c.set_bool("saex.fault.enabled", true);
+  c.set("saex.fault.chaos", chaos);
+  c.set_double("saex.fault.fetchFailProb", 0.6);
+  c.set_int("saex.fault.fetchFailNode", 1);
+  c.set_int("saex.serve.maxRetries", 2);
+  c.set("saex.serve.retryBackoff", "2s");
+  c.set("saex.serve.retryBackoffMax", "20s");
+  c.set_bool("saex.resilience.quarantine", true);
+  c.set_int("saex.resilience.quarantineThreshold", 3);
+  c.set("saex.resilience.quarantineWindow", "60s");
+  c.set("saex.resilience.quarantineCooldown", "45s");
+  c.set_bool("saex.aqe.enabled", true);
+  hw::ClusterSpec cs = hw::ClusterSpec::das5(8);
+  cs.seed = 41;
+  hw::Cluster cluster(cs);
+  SparkContext ctx(cluster, c);
+  serve::JobServer server(ctx);
+  schedule_trace(server, ctx, partition0, t);
+
+  ASSERT_TRUE(drain_capped(cluster.sim(), kStallEventCap));
+  const serve::ServeReport report = server.drain();
+  EXPECT_EQ(report.submitted, static_cast<int>(partition0.size()));
+  EXPECT_EQ(unsettled(report), 0);
+  EXPECT_GT(cluster.sim().now(), 1024.355);
 }
 
 }  // namespace

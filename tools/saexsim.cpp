@@ -117,7 +117,6 @@ struct Args {
   int shards = 1;
   int shard_workers = 1;
   std::string placement = "hash";
-  double shard_window = 0.0;
 };
 
 void usage() {
@@ -191,9 +190,6 @@ void usage() {
       "                      cores); the merged report is identical for any W\n"
       "  --placement P       shard router policy: hash | least | rr\n"
       "                      (default hash)\n"
-      "  --window T          force a finite lookahead window of T simulated\n"
-      "                      seconds (default: derived — unbounded, since\n"
-      "                      jobs never span shards)\n"
       "  --mode M            one of: %s (default FAIR)\n"
       "  --pools SPEC        name:weight:minShare,... (default\n"
       "                      interactive:3:16,batch:1:0)\n"
@@ -311,9 +307,6 @@ std::optional<Args> parse(int argc, char** argv) {
       args.sharded = true;
     } else if (a == "--placement") {
       args.placement = value();
-      args.sharded = true;
-    } else if (a == "--window") {
-      args.shard_window = std::atof(value());
       args.sharded = true;
     } else if (a == "--mode") {
       args.mode = value();
@@ -625,7 +618,6 @@ int run_serve_sharded(const Args& args, const hw::ClusterSpec& cs,
   config.set_int("saex.shard.count", args.shards);
   config.set_int("saex.shard.workers", args.shard_workers);
   config.set("saex.shard.placement", args.placement);
-  config.set("saex.shard.window", strfmt::format("{}", args.shard_window));
 
   std::vector<std::unique_ptr<EventFiles>> files;  // outlive the contexts
   shard::ShardedServer server(cs, config);
