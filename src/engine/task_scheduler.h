@@ -352,8 +352,8 @@ class TaskScheduler {
   // idle or mostly full at any instant).
   std::vector<uint64_t> free_bits_;
   std::vector<int32_t> node_to_exec_;  // node id -> execs_ index (-1: none)
-  // Pending tasks across all in-flight sets; 0 means an offer pass cannot
-  // dispatch anything and try_assign returns without touching executors.
+  // Pending tasks across all in-flight sets; 0 means an offer pass can only
+  // dispatch speculative copies (see can_offer()).
   int64_t pending_total_ = 0;
   uint64_t offer_epoch_ = 0;           // stamps per-set pref_nodes caches
   std::vector<size_t> cand_scratch_;   // reused by build_candidates()

@@ -17,8 +17,7 @@ ShardedServer::ShardedServer(const hw::ClusterSpec& spec,
                              const conf::Config& config)
     : config_(config),
       options_(ShardOptions::from_config(config)),
-      topology_(spec.num_nodes, options_.count),
-      spec_(spec) {
+      topology_(spec.num_nodes, options_.count) {
   shards_.reserve(static_cast<size_t>(options_.count));
   for (int s = 0; s < options_.count; ++s) {
     Shard shard;

@@ -5,12 +5,11 @@
 // sim::Simulation, SparkContext, and JobServer), seeded deterministically as
 // base seed + shard id. A trace job is routed whole onto one shard, runs
 // there exactly as it would on a stand-alone cluster of that size (so no
-// event ever crosses partitions and the kernels need no synchronization), and
-// the
-// per-shard records are merged back into one ServeReport in global trace-id
-// order using the same aggregation code as the serial path — so the merged
-// report of a 1-shard run is bitwise-identical to JobServer::replay, and an
-// S-shard run is bitwise-identical across any worker count.
+// event ever crosses shards and the kernels need no synchronization), and
+// the per-shard records are merged back into one ServeReport in global
+// trace-id order using the same aggregation code as the serial path — so the
+// merged report of a 1-shard run is bitwise-identical to JobServer::replay,
+// and an S-shard run is bitwise-identical across any worker count.
 //
 // Global node ids in fault-injection config (saex.fault.killNode / slowNode)
 // are translated to the owning shard's local id; other shards see the fault
@@ -88,7 +87,6 @@ class ShardedServer {
   conf::Config config_;
   ShardOptions options_;
   ShardTopology topology_;
-  hw::ClusterSpec spec_;
   std::vector<Shard> shards_;
 };
 

@@ -7,6 +7,9 @@
 // executor x set scan for speculation/blacklisting, a sparse loop otherwise)
 // were folded into one. They are never regenerated: a changed digest means a
 // changed dispatch or event sequence, which the offer loop must not cause.
+//
+// The LocalityDeadline cases check the delay-scheduling deadline, including
+// two runs whose simulated clock once stopped at a locality deadline.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
