@@ -37,6 +37,25 @@ JobPlan DagScheduler::build(const Rdd& final) {
   return plan;
 }
 
+std::vector<int> DagScheduler::release(NodeRange nodes) {
+  std::vector<int> shuffles;
+  const auto in_range = [&](std::map<int, int>& memo) {
+    return std::make_pair(memo.lower_bound(nodes.first),
+                          memo.lower_bound(nodes.last));
+  };
+  const auto [s_first, s_last] = in_range(shuffle_by_node_);
+  for (auto it = s_first; it != s_last; ++it) {
+    shuffles.push_back(it->second);
+    shuffle_producer_.erase(it->second);
+    shuffle_bytes_.erase(it->second);
+  }
+  shuffle_by_node_.erase(s_first, s_last);
+  const auto [t_first, t_last] = in_range(stage_by_node_);
+  stage_by_node_.erase(t_first, t_last);
+  std::sort(shuffles.begin(), shuffles.end());
+  return shuffles;
+}
+
 // Collects the narrow chain that ends (at the top) in `top`, stopping at a
 // stage boundary below. Returns nodes in source→sink order.
 static Chain collect_chain(const RddNodeRef& top,

@@ -42,6 +42,18 @@ class DagScheduler {
   /// on malformed plans, e.g. reading a missing input file).
   JobPlan build(const Rdd& final);
 
+  /// Forgets the stages and shuffles materialized for the plan nodes in
+  /// `nodes` (which the caller is about to free); returns the shuffle ids
+  /// released, ascending. Cached RDDs are kept.
+  std::vector<int> release(NodeRange nodes);
+
+  /// Entries of the node -> stage/shuffle memos and the per-shuffle
+  /// producer/size tables: what release() frees.
+  size_t memo_entries() const noexcept {
+    return stage_by_node_.size() + shuffle_by_node_.size() +
+           shuffle_producer_.size() + shuffle_bytes_.size();
+  }
+
  private:
   struct ChainInfo {
     std::vector<RddNodeRef> nodes;  // source..sink order

@@ -11,6 +11,7 @@
 // as I/O-tagged: textFile(), saveAsTextFile(), saveAsHadoopFile().
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,6 +75,13 @@ struct RddNode {
   ShuffleTraits shuffle_traits;
 };
 
+/// Plan nodes with ids in [first, last): the nodes one builder call created.
+struct NodeRange {
+  int first = 0;
+  int last = 0;
+  bool empty() const noexcept { return first >= last; }
+};
+
 class PlanBuilder;
 
 /// Value handle over an immutable plan node; all transformations return new
@@ -121,17 +129,27 @@ class Rdd {
 
 /// Allocates plan nodes with unique ids into an arena; owned by the
 /// SparkContext, which outlives every Rdd handle and JobPlan built from it.
+/// Nodes live until released: a caller that owns a range of nodes nothing
+/// else references (a serve job attempt's private plan) frees it when done.
 class PlanBuilder {
  public:
   Rdd text_file(std::string path);
   Rdd wrap(RddNode node);
 
-  int num_nodes() const noexcept { return next_id_; }
+  /// Frees the nodes in `range`; their Rdd handles dangle from here on.
+  void release(NodeRange range);
+
+  int num_nodes() const noexcept { return next_id_; }  // ids handed out
+  int live_nodes() const noexcept { return live_; }
 
  private:
   int next_id_ = 0;
-  // unique_ptr elements: node addresses stay stable as the arena grows.
-  std::vector<std::unique_ptr<RddNode>> arena_;
+  int live_ = 0;
+  // Node id `base_ + i` lives at arena_[i]; released nodes are null until
+  // the released prefix is popped. unique_ptr elements: node addresses stay
+  // stable as the arena grows.
+  int base_ = 0;
+  std::deque<std::unique_ptr<RddNode>> arena_;
 };
 
 }  // namespace saex::engine

@@ -1,5 +1,6 @@
 #include "engine/plan.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -16,7 +17,22 @@ Rdd PlanBuilder::text_file(std::string path) {
 Rdd PlanBuilder::wrap(RddNode node) {
   node.id = next_id_++;
   arena_.push_back(std::make_unique<RddNode>(std::move(node)));
+  ++live_;
   return Rdd(this, arena_.back().get());
+}
+
+void PlanBuilder::release(NodeRange range) {
+  assert(range.last <= next_id_);
+  for (int id = std::max(range.first, base_); id < range.last; ++id) {
+    std::unique_ptr<RddNode>& slot = arena_[static_cast<size_t>(id - base_)];
+    if (slot == nullptr) continue;
+    slot.reset();
+    --live_;
+  }
+  while (!arena_.empty() && arena_.front() == nullptr) {
+    arena_.pop_front();
+    ++base_;
+  }
 }
 
 namespace {

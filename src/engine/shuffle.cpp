@@ -22,17 +22,17 @@ std::vector<FetchShare> rotate_fetch_plan(const std::vector<Bytes>& plan,
 }
 
 ShuffleManager::ShuffleState& ShuffleManager::state_for(int shuffle_id) {
-  assert(shuffle_id >= 0);
-  if (static_cast<size_t>(shuffle_id) >= shuffles_.size()) {
-    shuffles_.resize(static_cast<size_t>(shuffle_id) + 1);
-  }
-  return shuffles_[static_cast<size_t>(shuffle_id)];
+  assert(shuffle_id >= base_);
+  const auto i = static_cast<size_t>(shuffle_id - base_);
+  if (i >= shuffles_.size()) shuffles_.resize(i + 1);
+  return shuffles_[i];
 }
 
 bool ShuffleManager::register_map_output(int shuffle_id, int node,
                                          int partition, Bytes bytes) {
   assert(node >= 0 && node < num_nodes_);
   assert(partition >= 0);
+  if (released(shuffle_id)) return false;
   ShuffleState& s = state_for(shuffle_id);
   if (!s.created) {
     s.created = true;
@@ -53,7 +53,7 @@ bool ShuffleManager::register_map_output(int shuffle_id, int node,
 }
 
 void ShuffleManager::set_reduce_skew(int shuffle_id, double alpha) {
-  if (alpha <= 0.0) return;
+  if (alpha <= 0.0 || released(shuffle_id)) return;
   ShuffleState& s = state_for(shuffle_id);
   if (s.skew == alpha) return;
   s.skew = alpha;
@@ -61,10 +61,8 @@ void ShuffleManager::set_reduce_skew(int shuffle_id, double alpha) {
 }
 
 double ShuffleManager::reduce_skew(int shuffle_id) const noexcept {
-  if (shuffle_id < 0 || static_cast<size_t>(shuffle_id) >= shuffles_.size()) {
-    return 0.0;
-  }
-  return shuffles_[static_cast<size_t>(shuffle_id)].skew;
+  const ShuffleState* s = find(shuffle_id);
+  return s != nullptr ? s->skew : 0.0;
 }
 
 void ShuffleManager::ensure_weights(const ShuffleState& s, int R) {
@@ -100,7 +98,7 @@ std::vector<Bytes> ShuffleManager::fetch_plan(int shuffle_id, int partition,
   assert(partition >= 0 && partition < num_partitions);
   std::vector<Bytes> plan(static_cast<size_t>(num_nodes_), 0);
   if (!has_shuffle(shuffle_id)) return plan;
-  const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
+  const ShuffleState& s = *find(shuffle_id);
   for (int n = 0; n < num_nodes_; ++n) {
     const Bytes total = s.per_node[static_cast<size_t>(n)];
     if (total == 0) continue;  // cum_share of a zero total is 0
@@ -121,7 +119,7 @@ std::vector<Bytes> ShuffleManager::fetch_plan_slice(int shuffle_id, int first,
   assert(num_splits == 1 || first == last);
   std::vector<Bytes> plan(static_cast<size_t>(num_nodes_), 0);
   if (!has_shuffle(shuffle_id)) return plan;
-  const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
+  const ShuffleState& s = *find(shuffle_id);
   for (int n = 0; n < num_nodes_; ++n) {
     const Bytes total = s.per_node[static_cast<size_t>(n)];
     if (total == 0) continue;  // cum_share of a zero total is 0
@@ -146,7 +144,7 @@ std::vector<Bytes> ShuffleManager::reduce_partition_bytes(
     int shuffle_id, int num_partitions) const {
   std::vector<Bytes> out(static_cast<size_t>(num_partitions), 0);
   if (!has_shuffle(shuffle_id)) return out;
-  const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
+  const ShuffleState& s = *find(shuffle_id);
   for (int n = 0; n < num_nodes_; ++n) {
     const Bytes total = s.per_node[static_cast<size_t>(n)];
     if (total == 0) continue;
@@ -162,21 +160,22 @@ std::vector<Bytes> ShuffleManager::reduce_partition_bytes(
 
 std::vector<Bytes> ShuffleManager::map_partition_bytes(int shuffle_id) const {
   if (!has_shuffle(shuffle_id)) return {};
-  return shuffles_[static_cast<size_t>(shuffle_id)].commit_bytes;
+  return find(shuffle_id)->commit_bytes;
 }
 
 std::map<int, std::vector<int>> ShuffleManager::on_node_lost(int node) {
   std::map<int, std::vector<int>> lost;
-  for (size_t sid = 0; sid < shuffles_.size(); ++sid) {
-    ShuffleState& s = shuffles_[sid];
-    if (!s.created) continue;
+  for (size_t i = 0; i < shuffles_.size(); ++i) {
+    ShuffleState& s = shuffles_[i];
+    if (!s.created) continue;  // never committed, or released
+    const int sid = base_ + static_cast<int>(i);
     std::vector<int>* partitions = nullptr;
     for (size_t p = 0; p < s.commit_node.size(); ++p) {
       if (s.commit_node[p] != node) continue;
       s.per_node[static_cast<size_t>(node)] -= s.commit_bytes[p];
       s.commit_node[p] = -1;
       s.commit_bytes[p] = 0;
-      if (partitions == nullptr) partitions = &lost[static_cast<int>(sid)];
+      if (partitions == nullptr) partitions = &lost[sid];
       partitions->push_back(static_cast<int>(p));
     }
     assert(s.per_node[static_cast<size_t>(node)] == 0 &&
@@ -185,17 +184,40 @@ std::map<int, std::vector<int>> ShuffleManager::on_node_lost(int node) {
   return lost;
 }
 
+void ShuffleManager::release(int shuffle_id) {
+  if (released(shuffle_id)) return;
+  ShuffleState& s = state_for(shuffle_id);
+  s = ShuffleState{};  // frees the commit arrays and weights
+  s.released = true;
+  while (!shuffles_.empty() && shuffles_.front().released) {
+    shuffles_.pop_front();
+    ++base_;
+  }
+}
+
+bool ShuffleManager::released(int shuffle_id) const noexcept {
+  if (shuffle_id < base_) return true;
+  const ShuffleState* s = find(shuffle_id);
+  return s != nullptr && s->released;
+}
+
+int ShuffleManager::live_shuffles() const noexcept {
+  int live = 0;
+  for (const ShuffleState& s : shuffles_) live += s.created ? 1 : 0;
+  return live;
+}
+
 bool ShuffleManager::partition_committed(int shuffle_id,
                                          int partition) const noexcept {
   if (!has_shuffle(shuffle_id) || partition < 0) return false;
-  const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
+  const ShuffleState& s = *find(shuffle_id);
   return static_cast<size_t>(partition) < s.commit_node.size() &&
          s.commit_node[static_cast<size_t>(partition)] >= 0;
 }
 
 Bytes ShuffleManager::total_output(int shuffle_id) const noexcept {
   if (!has_shuffle(shuffle_id)) return 0;
-  const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
+  const ShuffleState& s = *find(shuffle_id);
   Bytes total = 0;
   for (Bytes b : s.per_node) total += b;
   return total;
@@ -203,7 +225,7 @@ Bytes ShuffleManager::total_output(int shuffle_id) const noexcept {
 
 Bytes ShuffleManager::node_output(int shuffle_id, int node) const noexcept {
   if (!has_shuffle(shuffle_id)) return 0;
-  const ShuffleState& s = shuffles_[static_cast<size_t>(shuffle_id)];
+  const ShuffleState& s = *find(shuffle_id);
   return s.per_node[static_cast<size_t>(node)];
 }
 

@@ -12,6 +12,11 @@
 // partition committed there (on_node_lost), which is what drives
 // lineage-based resubmission of the producing stage.
 //
+// A shuffle whose readers are all gone is released (release()): its
+// registry state is freed, later commits to it are rejected without
+// counting as duplicates, and node loss no longer reports it, so nothing
+// recomputes map outputs no stage will fetch.
+//
 // Reduce-partition weights: by default every reduce partition gets an equal
 // share of each node's output (remainder bytes to low partitions). A shuffle
 // may instead carry a Zipf skew exponent (ShuffleTraits::skew, registered by
@@ -21,6 +26,7 @@
 // appear or vanish when the AQE layer re-tiles a reduce stage.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
@@ -50,7 +56,8 @@ class ShuffleManager {
 
   /// Commits map `partition`'s output bytes on `node`. Returns false (and
   /// changes nothing) if that partition already has a committed copy — a
-  /// losing speculative duplicate.
+  /// losing speculative duplicate — or the shuffle was released (a late
+  /// copy draining after its last reader settled; not a duplicate).
   bool register_map_output(int shuffle_id, int node, int partition,
                            Bytes bytes);
 
@@ -88,18 +95,24 @@ class ShuffleManager {
 
   /// Drops every partition committed on `node` (executor loss). Returns
   /// shuffle id -> the map partitions that must be recomputed, for the
-  /// driver's lineage-based stage resubmission.
+  /// driver's lineage-based stage resubmission. Released shuffles are
+  /// skipped.
   std::map<int, std::vector<int>> on_node_lost(int node);
+
+  /// Frees the shuffle's state once no stage will read it again. Idempotent.
+  void release(int shuffle_id);
+  bool released(int shuffle_id) const noexcept;
+  /// Shuffles with committed outputs that are not released.
+  int live_shuffles() const noexcept;
 
   Bytes total_output(int shuffle_id) const noexcept;
   Bytes node_output(int shuffle_id, int node) const noexcept;
   bool has_shuffle(int shuffle_id) const noexcept {
     // True once any commit was ever registered — node loss may later remove
     // every commit, but the shuffle itself stays known (as with the old
-    // outputs_ map, whose entry survived on_node_lost).
-    return shuffle_id >= 0 &&
-           static_cast<size_t>(shuffle_id) < shuffles_.size() &&
-           shuffles_[static_cast<size_t>(shuffle_id)].created;
+    // outputs_ map, whose entry survived on_node_lost) until released.
+    const ShuffleState* s = find(shuffle_id);
+    return s != nullptr && s->created;
   }
   bool partition_committed(int shuffle_id, int partition) const noexcept;
   /// Commits rejected because the partition was already committed (always 0
@@ -109,9 +122,12 @@ class ShuffleManager {
  private:
   // Shuffle ids are handed out densely from 0 (DagScheduler's counter), so
   // everything is directly indexed: no map hops on the per-task commit and
-  // fetch-plan paths.
+  // fetch-plan paths. Shuffle id `base_ + i` lives at shuffles_[i]; the
+  // released prefix is popped, so the registry is as long as the span of
+  // live shuffles, not of every shuffle ever made.
   struct ShuffleState {
     bool created = false;
+    bool released = false;
     double skew = 0.0;                 // reduce-weight Zipf exponent (0=uniform)
     std::vector<Bytes> per_node;       // committed bytes per node
     std::vector<int32_t> commit_node;  // partition -> node (-1: uncommitted)
@@ -122,6 +138,13 @@ class ShuffleManager {
     mutable std::vector<double> cum_w;
   };
 
+  // Null for ids below base_ (released) or never touched.
+  const ShuffleState* find(int shuffle_id) const noexcept {
+    if (shuffle_id < base_) return nullptr;
+    const auto i = static_cast<size_t>(shuffle_id - base_);
+    return i < shuffles_.size() ? &shuffles_[i] : nullptr;
+  }
+  // Creates the slot if needed; `shuffle_id` must not be below base_.
   ShuffleState& state_for(int shuffle_id);
   // Bytes of `total` assigned to reduce partitions [0, upto) of R. Exact
   // (cum_share(R) == total), monotone, and for the uniform case bitwise
@@ -130,7 +153,8 @@ class ShuffleManager {
   static void ensure_weights(const ShuffleState& s, int R);
 
   int num_nodes_;
-  std::vector<ShuffleState> shuffles_;  // indexed by shuffle id
+  int base_ = 0;
+  std::deque<ShuffleState> shuffles_;  // indexed by shuffle id - base_
   int64_t duplicate_commits_ = 0;
 };
 

@@ -42,7 +42,9 @@ struct ShardedServeReport {
   /// Aggregated exactly like a serial ServeReport (records in trace-id
   /// order, same rollup code); executor counters are summed across shards.
   serve::ServeReport merged;
-  std::vector<serve::ServeReport> shards;  // per-shard reports, by shard id
+  /// Per-shard reports, by shard id: counters and per-pool rollups only —
+  /// the job records moved into `merged` (jobs is empty).
+  std::vector<serve::ServeReport> shards;
   std::vector<ShardStats> stats;
   std::vector<int> placement;  // trace job id -> shard
   std::string placement_policy;

@@ -1,6 +1,7 @@
 #include "storage/block_manager.h"
 
 #include <cassert>
+#include <iterator>
 
 #include "common/format.h"
 #include "prof/profiler.h"
@@ -136,6 +137,26 @@ void BlockManager::drop(BlockId id) {
   blocks_.erase(it);
 }
 
+void BlockManager::drop_all_of(BlockKind kind, int id) {
+  // Keys order by (kind, id, partition): one id's blocks are contiguous.
+  const auto first = blocks_.lower_bound(BlockId{kind, id, 0}.key());
+  const auto last = blocks_.lower_bound(BlockId{kind, id + 1, 0}.key());
+  for (auto it = first; it != last; ++it) {
+    mem_used_ -= it->second.mem_bytes;
+    disk_used_ -= it->second.disk_bytes;
+    if (policy_ != nullptr) policy_->on_remove(it->first);
+  }
+  blocks_.erase(first, last);
+}
+
+size_t BlockManager::num_blocks(BlockKind kind) const noexcept {
+  const auto first = blocks_.lower_bound(BlockId{kind, 0, 0}.key());
+  const auto last = blocks_.lower_bound(
+      BlockId{static_cast<BlockKind>(static_cast<uint8_t>(kind) + 1), 0, 0}
+          .key());
+  return static_cast<size_t>(std::distance(first, last));
+}
+
 void BlockManager::drop_all() {
   for (const auto& [key, b] : blocks_) {
     if (policy_ != nullptr) policy_->on_remove(key);
@@ -157,6 +178,16 @@ StorageManager::StorageManager(int num_nodes,
   for (int n = 0; n < num_nodes; ++n) {
     nodes_.push_back(std::make_unique<BlockManager>(n, options, metrics));
   }
+}
+
+void StorageManager::drop_all_of(BlockKind kind, int id) {
+  for (const auto& n : nodes_) n->drop_all_of(kind, id);
+}
+
+size_t StorageManager::total_blocks(BlockKind kind) const noexcept {
+  size_t sum = 0;
+  for (const auto& n : nodes_) sum += n->num_blocks(kind);
+  return sum;
 }
 
 int64_t StorageManager::total_hits() const noexcept {

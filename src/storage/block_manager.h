@@ -110,6 +110,9 @@ class BlockManager {
 
   /// Forgets one block (both tiers), e.g. when its cache is rebuilt.
   void drop(BlockId id);
+  /// Forgets every partition of cache or shuffle `id`, e.g. the map output
+  /// files of a released shuffle.
+  void drop_all_of(BlockKind kind, int id);
   /// Executor death: every block this process held is gone.
   void drop_all();
 
@@ -122,6 +125,7 @@ class BlockManager {
   const std::string& policy_name() const noexcept { return options_.policy; }
   bool spill_on_evict() const noexcept { return options_.spill_on_evict; }
   size_t num_blocks() const noexcept { return blocks_.size(); }
+  size_t num_blocks(BlockKind kind) const noexcept;
 
   int64_t hits() const noexcept { return hits_; }
   int64_t misses() const noexcept { return misses_; }
@@ -174,6 +178,11 @@ class StorageManager {
   }
   int num_nodes() const noexcept { return static_cast<int>(nodes_.size()); }
   const std::string& policy_name() const noexcept { return policy_name_; }
+
+  /// BlockManager::drop_all_of on every node.
+  void drop_all_of(BlockKind kind, int id);
+  /// Blocks of `kind` held across all nodes.
+  size_t total_blocks(BlockKind kind) const noexcept;
 
   int64_t total_hits() const noexcept;
   int64_t total_misses() const noexcept;

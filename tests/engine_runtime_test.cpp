@@ -414,7 +414,7 @@ struct SchedulerRig : Rig {
 TEST(TaskScheduler, RunsAllTasksToCompletion) {
   SchedulerRig rig;
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&] { done = true; });
+  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&](const auto&) { done = true; });
   rig.cluster.sim().run();
   EXPECT_TRUE(done);
   uint64_t completed = 0;
@@ -425,7 +425,7 @@ TEST(TaskScheduler, RunsAllTasksToCompletion) {
 TEST(TaskScheduler, EmptyStageCompletesImmediately) {
   SchedulerRig rig;
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, {}, [&] { done = true; });
+  rig.scheduler->run_stage(rig.stage, {}, [&](const auto&) { done = true; });
   rig.cluster.sim().run();
   EXPECT_TRUE(done);
 }
@@ -436,7 +436,7 @@ TEST(TaskScheduler, RespectsAdvertisedPoolSize) {
   for (int n = 0; n < 4; ++n) rig.scheduler->on_executor_resized(n, 2);
 
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&] { done = true; });
+  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&](const auto&) { done = true; });
   // Sample concurrency as the simulation progresses.
   int peak = 0;
   while (!done && rig.cluster.sim().step()) {
@@ -452,7 +452,7 @@ TEST(TaskScheduler, ResizeMidStageChangesConcurrency) {
   for (int n = 0; n < 4; ++n) rig.scheduler->on_executor_resized(n, 1);
 
   bool done = false;
-  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&] { done = true; });
+  rig.scheduler->run_stage(rig.stage, rig.make_tasks(64), [&](const auto&) { done = true; });
 
   // Grow executor 0's pool mid-stage through the §5.4 protocol.
   rig.cluster.sim().schedule_at(1.0, [&] {
@@ -493,7 +493,7 @@ TEST(TaskScheduler, PrefersLocalTasks) {
     tasks.push_back(t);
   }
   bool done = false;
-  rig.scheduler->run_stage(stage, std::move(tasks), [&] { done = true; });
+  rig.scheduler->run_stage(stage, std::move(tasks), [&](const auto&) { done = true; });
   rig.cluster.sim().run();
   EXPECT_TRUE(done);
   // With locality-first assignment and equal pools, no network traffic.

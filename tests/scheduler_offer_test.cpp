@@ -9,7 +9,8 @@
 // changed dispatch or event sequence, which the offer loop must not cause.
 //
 // The LocalityDeadline cases check the delay-scheduling deadline, including
-// two runs whose simulated clock once stopped at a locality deadline.
+// two runs whose simulated clock once stopped at a locality deadline; the
+// BlacklistAbort cases, a set blacklisted on every live executor.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -501,6 +502,56 @@ TEST(LocalityDeadline, RepeatedChurnWavesDrain) {
   EXPECT_EQ(report.submitted, static_cast<int>(partition0.size()));
   EXPECT_EQ(unsettled(report), 0);
   EXPECT_GT(cluster.sim().now(), 1024.355);
+}
+
+// ---------- blacklisting: a set with nowhere left to run is aborted ----------
+
+// Every attempt fails, so each executor trips the set's blacklist long
+// before any task runs out of attempts: the stage aborts as unschedulable
+// (the run used to stop with tasks pending and no event left to fire).
+TEST(BlacklistAbort, SetBlacklistedOnEveryExecutorAbortsTheStage) {
+  hw::Cluster cluster(hw::ClusterSpec::das5(2));
+  conf::Config c;
+  c.set_int("spark.default.parallelism", 8);
+  c.set_double("saex.sim.taskFailureProb", 1.0);
+  c.set_bool("spark.blacklist.enabled", true);
+  c.set_int("spark.task.maxFailures", 16);
+  SparkContext ctx(cluster, c);
+  ctx.dfs().load_input("/in", gib(1), 1);
+  EXPECT_THROW((void)ctx.run_job(ctx.text_file("/in").count(), "doomed"),
+               engine::StageAbortedError);
+  EXPECT_EQ(ctx.scheduler().active_task_sets(), 0);
+}
+
+// A 3-node serve with a 40%-flaky node, transient task and fetch failures,
+// speculation and a kill/rejoin: sets end up blacklisted on every live
+// executor. With speculation polling, that run used to advance its clock
+// forever (t ~ 3e5 s after 3M events) instead of draining.
+TEST(BlacklistAbort, FlakyNodeServeWithKillAndRejoinDrains) {
+  serve::TraceOptions t = trace_options(0, 12);
+  hw::ClusterSpec cs = hw::ClusterSpec::das5(3);
+  cs.seed = 0;
+  conf::Config c;
+  c.set_int("spark.default.parallelism", 12);
+  c.set_bool("spark.blacklist.enabled", true);
+  c.set_bool("spark.speculation", true);
+  c.set_int("saex.sim.flakyNode", 0);
+  c.set_double("saex.sim.flakyNodeFailureProb", 0.4);
+  c.set_double("saex.sim.taskFailureProb", 0.1);
+  c.set_bool("saex.fault.enabled", true);
+  c.set_double("saex.fault.fetchFailProb", 0.3);
+  c.set("saex.fault.chaos", "kill:0@3,rejoin:0@12");
+  hw::Cluster cluster(cs);
+  SparkContext ctx(cluster, c);
+  serve::JobServer server(ctx);
+  schedule_trace(server, ctx, serve::make_trace(t), t);
+
+  ASSERT_TRUE(drain_capped(cluster.sim(), kStallEventCap));
+  const serve::ServeReport report = server.drain();
+  EXPECT_EQ(report.submitted, 12);
+  EXPECT_EQ(unsettled(report), 0);
+  EXPECT_GT(report.failed, 0);  // some attempt could run nowhere
+  EXPECT_EQ(ctx.scheduler().active_task_sets(), 0);
 }
 
 }  // namespace
