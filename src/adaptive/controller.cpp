@@ -36,8 +36,8 @@ AdaptiveController::AdaptiveController(ControllerConfig config, Sensor& sensor,
                                        SchedulerNotifier notifier)
     : monitor_(sensor),
       analyzer_(config),
-      plan_executor_(pool, std::move(notifier)),
-      pool_(&pool) {}
+      pool_(&pool),
+      notifier_(std::move(notifier)) {}
 
 void AdaptiveController::on_stage_start(int64_t stage_key, double now) {
   if (stage_open_) on_stage_end(now);
@@ -57,7 +57,7 @@ void AdaptiveController::on_stage_start(int64_t stage_key, double now) {
   p.resize = pool_->pool_size() != first;
   p.notify_scheduler = p.resize;
   p.freeze = false;
-  plan_executor_.apply(p);
+  apply(p);
   monitor_.begin_interval(now, first);
 }
 
@@ -91,7 +91,7 @@ void AdaptiveController::close_interval_and_decide(double now) {
              decision.reason);
 
   const Plan plan = planner_.plan(decision, report.threads);
-  plan_executor_.apply(plan);
+  apply(plan);
 
   if (plan.open_new_interval) {
     previous_ = report;
@@ -101,6 +101,15 @@ void AdaptiveController::close_interval_and_decide(double now) {
     frozen_ = true;
     settle(decision.action == Decision::Action::kRollback,
            decision.action == Decision::Action::kHold);
+  }
+}
+
+void AdaptiveController::apply(const Plan& plan) {
+  if (plan.resize) {
+    pool_->set_pool_size(plan.set_size);
+  }
+  if (plan.notify_scheduler && notifier_) {
+    notifier_(plan.set_size);
   }
 }
 

@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "adaptive/analyzer.h"
-#include "adaptive/executor.h"
 #include "adaptive/knowledge.h"
 #include "adaptive/monitor.h"
 #include "adaptive/planner.h"
@@ -46,13 +45,17 @@ class AdaptiveController {
 
  private:
   void close_interval_and_decide(double now);
+  // [E]xecute: applies the resize and, when required, notifies the
+  // scheduler so its per-executor free-core registry matches the new pool
+  // size (§5.4).
+  void apply(const Plan& plan);
   void settle(bool rolled_back, bool reached_bound);
 
   Monitor monitor_;
   Analyzer analyzer_;
   Planner planner_;
-  PlanExecutor plan_executor_;
   PoolEffector* pool_;
+  SchedulerNotifier notifier_;
   KnowledgeBase knowledge_;
 
   int64_t stage_key_ = -1;

@@ -64,7 +64,8 @@ inline bool spec_numeric_only(std::string_view spec) {
 
 inline std::string format_arg(double v, std::string_view spec) {
   if (spec_is(spec, "fgeFGE")) {
-    const std::string s = "%" + std::string(spec);
+    std::string s(1, '%');
+    s.append(spec);
     return printf_str(s.c_str(), v);
   }
   return printf_str("%g", v);

@@ -21,7 +21,7 @@ std::string format_rate(double bytes_per_sec) {
 }
 
 std::string format_duration(double seconds) {
-  if (seconds < 0) return "-" + format_duration(-seconds);
+  if (seconds < 0) return format_duration(-seconds).insert(0, 1, '-');
   if (seconds < 60.0) return saex::strfmt::format("{:.1f}s", seconds);
   const int64_t total = static_cast<int64_t>(std::llround(seconds));
   if (total < 3600) return saex::strfmt::format("{}m{:02}s", total / 60, total % 60);

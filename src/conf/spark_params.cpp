@@ -473,13 +473,6 @@ void define_adaptive_extension(Registry& r) {
             "observed tasks, pick the coalesce target minimizing modeled "
             "makespan, and seed executor pool sizes from the best observed "
             "width (composes with saex.executor.policy=dynamic)."});
-  r.define({"saex.net.flowBatch", c, V::kBool, "false",
-            "Flow-batched shuffle data plane: coalesce every remote block a "
-            "reduce task pulls from one source node into a single "
-            "network flow (one setup latency, one completion event) instead "
-            "of one transfer per chunk per block. Off reproduces the "
-            "per-chunk model bitwise; fault drop rolls and open-stream "
-            "accounting stay block-granular either way."});
   r.define({"saex.eventLog.enabled", c, V::kBool, "true",
             "Application event log (the spark.eventLog analogue exported by "
             "saexsim --eventlog/--trace). Disable for very long serve "

@@ -108,7 +108,6 @@ SparkContext::SparkContext(hw::Cluster& cluster, conf::Config config)
   env.flaky_node = static_cast<int>(config_.get_int("saex.sim.flakyNode"));
   env.flaky_node_failure_prob =
       config_.get_double("saex.sim.flakyNodeFailureProb");
-  env.net_flow_batch = config_.get_bool("saex.net.flowBatch");
   env.event_log = &event_log_;
 
   // Fault truth exists even with injection off (then it is entirely

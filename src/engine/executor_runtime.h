@@ -84,14 +84,6 @@ struct EngineEnv {
   // Concurrent in-flight fetches per reduce task (Spark fetches shuffle
   // blocks from several hosts at once, spark.reducer.maxSizeInFlight).
   int fetch_parallelism = 2;
-  // Flow-batched network data plane (saex.net.flowBatch): coalesce every
-  // shuffle block a reduce task pulls from one source node into a single
-  // hw::Network flow (one setup latency, one completion) instead of one
-  // transfer per io_chunk per block; up to fetch_parallelism flow segments
-  // stay in flight per task, as in per-chunk mode. Off reproduces the
-  // per-chunk model bitwise; fault rolls and open-stream accounting stay
-  // block-granular either way.
-  bool net_flow_batch = false;
   // Fault injection: probability that a task attempt fails partway through
   // (saex.sim.taskFailureProb). Deterministic per (cluster seed, node, task).
   double task_failure_prob = 0.0;

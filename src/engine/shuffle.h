@@ -44,9 +44,7 @@ struct FetchShare {
 /// Rotation-ordered view of a per-node fetch plan: the non-empty
 /// (source node, bytes) pairs a reducer running on `node_id` visits, local
 /// share first, then remote nodes in rotating order (node_id + i) % n so
-/// fetch load spreads evenly. The single ordering both the per-chunk and
-/// the flow-batched (saex.net.flowBatch) fetch paths share — plans, fault
-/// rolls, and byte totals agree between the two modes by construction.
+/// fetch load spreads evenly.
 std::vector<FetchShare> rotate_fetch_plan(const std::vector<Bytes>& plan,
                                           int node_id);
 

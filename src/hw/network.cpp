@@ -37,45 +37,14 @@ double Network::flow_rate(const Flow& f) const noexcept {
   const size_t src = static_cast<size_t>(f.src);
   const size_t dst = static_cast<size_t>(f.dst);
   assert(up_count_[src] > 0 && down_count_[dst] > 0);
-  // The caches hold exactly the quotients the uncached formula computes
-  // first, so (share) * w below rounds identically to it.
+  // The caches hold exactly the quotients the uncached formula computes.
   assert(up_share_[src] == up_share_of(f.src));
   assert(down_share_[dst] == down_share_of(f.dst));
-  // A batched flow holds `streams` fair shares on each link and carries its
-  // own rate cap. streams == 1 multiplies by 1.0 — exact in IEEE arithmetic —
-  // and an unbatched flow's cap IS per_flow_cap, so plain transfers settle
-  // bitwise-identically to the pre-flow-mode model.
-  const double w = static_cast<double>(f.streams);
-  const double up_share = up_share_[src] * w;
-  const double down_share = down_share_[dst] * w;
-  return std::min({up_share, down_share, f.cap});
+  return std::min({up_share_[src], down_share_[dst], params_.per_flow_cap});
 }
 
 void Network::transfer(NodeId src, NodeId dst, Bytes bytes,
                        sim::Callback done) {
-  start_flow(src, dst, bytes, 1, params_.per_flow_cap, std::move(done));
-}
-
-void Network::transfer_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
-                            Bytes chunk_bytes, sim::Callback done) {
-  assert(streams >= 1);
-  ++flow_transfers_;
-  streams = std::max(streams, 1);
-  // Chunked-goodput cap: a per-chunk stream pays the setup latency before
-  // every chunk_bytes request, so its steady-state rate is below
-  // per_flow_cap. Folding that protocol overhead into the cap keeps the
-  // batched flow's finish time aligned with the per-chunk pipeline it
-  // replaces.
-  double per_stream = params_.per_flow_cap;
-  if (chunk_bytes > 0 && params_.latency > 0.0) {
-    per_stream = 1.0 / (params_.latency / static_cast<double>(chunk_bytes) +
-                        1.0 / params_.per_flow_cap);
-  }
-  start_flow(src, dst, bytes, streams, per_stream * streams, std::move(done));
-}
-
-void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
-                         double cap, sim::Callback done) {
   assert(src != dst && "local data must not cross the network");
   assert(bytes >= 0);
   ++transfers_started_;
@@ -83,14 +52,13 @@ void Network::start_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
     sim_.schedule_after(params_.latency, std::move(done));
     return;
   }
-  sim_.schedule_after(params_.latency, [this, src, dst, bytes, streams, cap,
+  sim_.schedule_after(params_.latency, [this, src, dst, bytes,
                                         done = std::move(done)]() mutable {
     // Settle-only: the single wake-up is armed below, after the join.
     advance_and_reschedule(/*rearm=*/false);
-    flows_.push_back(Flow{src, dst, static_cast<double>(bytes), streams, cap,
-                          std::move(done)});
-    up_count_[static_cast<size_t>(src)] += streams;
-    down_count_[static_cast<size_t>(dst)] += streams;
+    flows_.push_back(Flow{src, dst, static_cast<double>(bytes), std::move(done)});
+    ++up_count_[static_cast<size_t>(src)];
+    ++down_count_[static_cast<size_t>(dst)];
     refresh_up(src);
     open_inc(src, dst);  // refreshes dst's downlink share
     sent_[static_cast<size_t>(src)] += bytes;
@@ -124,8 +92,8 @@ std::vector<sim::Callback> Network::settle(bool rearm) {
   for (size_t i = 0; i < flows_.size(); ++i) {
     Flow& f = flows_[i];
     if (f.remaining <= 0.5) {
-      up_count_[static_cast<size_t>(f.src)] -= f.streams;
-      down_count_[static_cast<size_t>(f.dst)] -= f.streams;
+      --up_count_[static_cast<size_t>(f.src)];
+      --down_count_[static_cast<size_t>(f.dst)];
       refresh_up(f.src);
       open_dec(f.src, f.dst);  // refreshes f.dst's downlink share
       finished.push_back(std::move(f.done));

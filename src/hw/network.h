@@ -57,24 +57,6 @@ class Network {
   /// (local data never crosses the network).
   void transfer(NodeId src, NodeId dst, Bytes bytes, sim::Callback done);
 
-  /// Flow-batched data plane (saex.net.flowBatch): one aggregated flow
-  /// standing in for `streams` parallel chunked fetch streams between the
-  /// same (src, dst) pair. Pays the setup latency ONCE as a scheduled event,
-  /// then settles through the same progressive-filling loop as every other
-  /// flow, but weighted: it claims `streams` fair shares of the
-  /// uplink/downlink, and its rate cap is streams x the *chunked goodput*
-  ///
-  ///   1 / (latency/chunk_bytes + 1/per_flow_cap)
-  ///
-  /// — the steady-state rate a per-chunk stream reaches when every
-  /// chunk_bytes request pays the setup latency before moving at
-  /// per_flow_cap. The batched flow therefore keeps the per-chunk model's
-  /// makespan (the latency cost is folded into the cap) while collapsing
-  /// O(chunks) simulation events into one. chunk_bytes <= 0 disables the
-  /// derating (cap = streams x per_flow_cap).
-  void transfer_flow(NodeId src, NodeId dst, Bytes bytes, int streams,
-                     Bytes chunk_bytes, sim::Callback done);
-
   /// Fetch-connection accounting: a shuffle/remote-read request holds its
   /// connection open while the server reads the block from disk, so the
   /// congestion (incast) level of a downlink counts registered fetches, not
@@ -88,8 +70,7 @@ class Network {
     return open_senders_[static_cast<size_t>(dst)];
   }
 
-  /// Stream-weighted flow counts: a coalesced flow of k streams counts k
-  /// (equal to the plain flow count when nothing is batched).
+  /// Active flows leaving / entering a node.
   int flows_from(NodeId n) const noexcept { return up_count_[static_cast<size_t>(n)]; }
   int flows_to(NodeId n) const noexcept { return down_count_[static_cast<size_t>(n)]; }
   int active_flows() const noexcept { return static_cast<int>(flows_.size()); }
@@ -98,13 +79,8 @@ class Network {
   Bytes total_bytes() const noexcept { return total_bytes_; }
 
   /// Data-plane event accounting: transfer requests issued (one per
-  /// transfer()/transfer_flow() call) — the quantity the flow-batched data
-  /// plane collapses from O(chunks x segments) to O(distinct sources), and
-  /// the metric bench/net_flow's >=3x reduction guard reads.
+  /// transfer() call).
   int64_t transfers_started() const noexcept { return transfers_started_; }
-  /// Subset of transfers_started() that were coalesced flows (streams > 1 or
-  /// issued via transfer_flow).
-  int64_t flow_transfers() const noexcept { return flow_transfers_; }
 
   /// Fault-injection accounting: a shuffle fetch that was dropped before any
   /// bytes moved (saex.fault.fetchFailProb, or the source executor died).
@@ -126,13 +102,8 @@ class Network {
     NodeId src;
     NodeId dst;
     double remaining;  // bytes
-    int streams;       // fair-share weight (1 = plain per-chunk transfer)
-    double cap;        // this flow's rate cap, bytes/s
     sim::Callback done;
   };
-
-  void start_flow(NodeId src, NodeId dst, Bytes bytes, int streams, double cap,
-                  sim::Callback done);
 
   double flow_rate(const Flow& f) const noexcept;
   // See Disk::advance_and_reschedule: rearm=false settles and completes
@@ -188,8 +159,7 @@ class Network {
   // Active flows in start (FIFO) order; settled with contiguous scans, like
   // Disk::transfers_.
   std::vector<Flow> flows_;
-  // Stream-weighted per-node link loads (Σ streams over active flows); with
-  // no batched flows these are the plain flow counts.
+  // Per-node link loads: active flows leaving / entering each node.
   std::vector<int> up_count_;
   std::vector<int> down_count_;
   // open_[(dst,src)]: open requests (registered fetches + active transfers),
@@ -200,7 +170,7 @@ class Network {
   std::unordered_map<uint64_t, int> open_;
   std::vector<int> open_count_;    // Σ_src open_[dst][src]
   std::vector<int> open_senders_;  // #{src : open_[dst][src] > 0}
-  // Cached per-stream link shares: up_bw/n_up per source and the incast-
+  // Cached per-flow link shares: up_bw/n_up per source and the incast-
   // derated downlink capacity / n_down per destination (0 while idle), so
   // flow_rate() does no division.
   std::vector<double> up_share_;
@@ -209,7 +179,6 @@ class Network {
   std::vector<Bytes> sent_;
   Bytes total_bytes_ = 0;
   int64_t transfers_started_ = 0;
-  int64_t flow_transfers_ = 0;
   int64_t dropped_fetches_ = 0;
   double last_advance_ = 0.0;
   sim::EventId pending_completion_ = sim::kInvalidEvent;

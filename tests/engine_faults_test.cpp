@@ -230,6 +230,57 @@ TEST(AimdPolicy, RunsAndStaysInBounds) {
   EXPECT_EQ(report.policy_name, "aimd");
 }
 
+// Shuffle fetch faults: the per-chunk fetch path must leave the hw::Network
+// open-stream ledger balanced however its fetches end.
+struct ShuffleRun {
+  double makespan = 0.0;
+  int64_t dropped = 0;
+  int open_fetches = 0;  // Σ fetches_to + senders_to at job end — must be 0
+};
+
+ShuffleRun run_faulty_shuffle(conf::Config config) {
+  hw::Cluster cluster(hw::ClusterSpec::das5(4));
+  config.set("spark.default.parallelism", "16");
+  config.set_bool("saex.fault.enabled", true);
+  SparkContext ctx(cluster, std::move(config));
+  ctx.dfs().load_input("/in", gib(2), 4);
+  const JobReport report = ctx.run_job(
+      ctx.text_file("/in").reduce_by_key("g", {0.01, 1.0}, 1.0).count(),
+      "fetchfaults");
+  ShuffleRun out;
+  out.makespan = report.total_runtime;
+  out.dropped = cluster.network().dropped_fetches();
+  for (int n = 0; n < cluster.size(); ++n) {
+    out.open_fetches += cluster.network().fetches_to(n);
+    out.open_fetches += cluster.network().senders_to(n);
+  }
+  return out;
+}
+
+TEST(FetchFaults, DroppedFetchesUnregister) {
+  // Seeded fetch drops force the abort/retry path; afterwards every
+  // register_fetch must have been matched by unregister_fetch (the
+  // open-request and distinct-sender rollups read zero), or the incast
+  // model would degrade for the rest of the run.
+  conf::Config c;
+  c.set_double("saex.fault.fetchFailProb", 0.05);
+  const ShuffleRun run = run_faulty_shuffle(std::move(c));
+  EXPECT_GT(run.dropped, 0);
+  EXPECT_EQ(run.open_fetches, 0);
+  EXPECT_GT(run.makespan, 0.0);
+}
+
+TEST(FetchFaults, OpenStreamsBalanceUnderChaosChurn) {
+  // Kill an executor mid-shuffle (in-flight fetches to/from it die with
+  // lineage recovery) and rejoin it later; the open-stream ledger must
+  // still unwind to zero.
+  conf::Config c;
+  c.set("saex.fault.chaos", "kill:1@40,rejoin:1@120");
+  const ShuffleRun run = run_faulty_shuffle(std::move(c));
+  EXPECT_EQ(run.open_fetches, 0);
+  EXPECT_GT(run.makespan, 0.0);
+}
+
 TEST(Report, CsvHasHeaderAndOneRowPerStage) {
   hw::Cluster cluster(hw::ClusterSpec::das5(2));
   conf::Config config;

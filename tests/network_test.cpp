@@ -244,8 +244,8 @@ TEST(Network, LinkShareRecoversWhenASiblingFlowCompletes) {
 }
 
 TEST(Network, RandomFlowsAndFetchRegistrationsDrain) {
-  // Pseudo-random flows, batched flows and register/unregister pairs, so
-  // cached shares are refreshed in every order the counts can change.
+  // Pseudo-random flows and register/unregister pairs, so cached shares
+  // are refreshed in every order the counts can change.
   sim::Simulation sim;
   Network net(sim, 8, small_net());
   uint64_t rng = 11;
@@ -272,12 +272,8 @@ TEST(Network, RandomFlowsAndFetchRegistrationsDrain) {
       continue;
     }
     ++started;
-    sim.schedule_at(t, [&net, &done, src, dst, bytes, kind] {
-      if (kind == 0) {
-        net.transfer(src, dst, bytes, [&done] { ++done; });
-      } else {
-        net.transfer_flow(src, dst, bytes, 3, 1 << 16, [&done] { ++done; });
-      }
+    sim.schedule_at(t, [&net, &done, src, dst, bytes] {
+      net.transfer(src, dst, bytes, [&done] { ++done; });
     });
   }
   sim.run();

@@ -11,9 +11,9 @@
 4. Module freshness: every module docs/ARCHITECTURE.md bolds as
    **`src/<name>/`** exists, and every directory under src/ is documented.
 5. Bench-snapshot sync: BENCH_kernel.json, BENCH_engine.json,
-   BENCH_storage.json, BENCH_serve.json, BENCH_aqe.json, and BENCH_net.json
-   parse and every scenario they record is discussed in
-   docs/PERFORMANCE.md.
+   BENCH_storage.json, BENCH_serve.json, BENCH_fault.json,
+   BENCH_resilience.json and BENCH_aqe.json parse and every scenario they
+   record is discussed in docs/PERFORMANCE.md.
 6. Scaling story: docs/SCALING.md exists and is linked from README.md and
    docs/ARCHITECTURE.md.
 7. Test-count agreement: the test count README.md claims matches the one
@@ -158,10 +158,6 @@ def check_aqe_bench():
     check_bench_snapshot("BENCH_aqe.json", "aqe_ablation")
 
 
-def check_net_bench():
-    check_bench_snapshot("BENCH_net.json", "net_flow")
-
-
 def check_scaling_doc():
     """docs/SCALING.md must exist and be reachable from README.md and
     docs/ARCHITECTURE.md (the scaling story is load-bearing docs, not an
@@ -204,7 +200,6 @@ def main():
     check_fault_bench()
     check_resilience_bench()
     check_aqe_bench()
-    check_net_bench()
     check_scaling_doc()
     check_test_count()
     if failures:

@@ -61,9 +61,6 @@ struct Args {
   double storage_mem_gib = -1.0;  // <0 = config default (node memory fraction)
   std::string storage_policy;     // empty = config default ("none")
 
-  // Network data plane (saex.net.*).
-  bool flow_batch = false;
-
   // Adaptive query execution (saex.aqe.*).
   bool aqe = false;
   std::string aqe_target;          // empty = config default ("64m")
@@ -139,9 +136,6 @@ void usage() {
       "                      (default: spark.memory.fraction x\n"
       "                      spark.memory.storageFraction x node memory)\n"
       "  --storage-policy P  block eviction policy, one of: %s\n"
-      "  --flow-batch        flow-batched shuffle data plane: one network\n"
-      "                      flow per (source, reducer) pair instead of one\n"
-      "                      transfer per chunk per block (saex.net.flowBatch)\n"
       "  --aqe               adaptive query execution: re-plan reduce stages\n"
       "                      from actual map-output sizes (coalesce tiny\n"
       "                      partitions, split skewed ones)\n"
@@ -249,8 +243,6 @@ std::optional<Args> parse(int argc, char** argv) {
       args.storage_mem_gib = std::atof(value());
     } else if (a == "--storage-policy") {
       args.storage_policy = value();
-    } else if (a == "--flow-batch") {
-      args.flow_batch = true;
     } else if (a == "--aqe") {
       args.aqe = true;
     } else if (a == "--aqe-target") {
@@ -451,7 +443,6 @@ conf::Config make_config(const Args& args, const std::string& policy) {
   if (!args.storage_policy.empty()) {
     config.set("saex.storage.policy", args.storage_policy);
   }
-  if (args.flow_batch) config.set_bool("saex.net.flowBatch", true);
   apply_aqe_flags(config, args);
   apply_fault_flags(config, args);
   return config;
@@ -671,7 +662,6 @@ int run_serve(const Args& args) {
   if (args.quarantine) {
     config.set_bool("saex.resilience.quarantine", true);
   }
-  if (args.flow_batch) config.set_bool("saex.net.flowBatch", true);
   apply_aqe_flags(config, args);
   apply_fault_flags(config, args);
   if (args.dynalloc) {
